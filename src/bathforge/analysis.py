@@ -119,7 +119,7 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
         p0 = np.clip([a0, T_start, f0, ph_start, c0], lower, upper)
         try:
             sol = least_squares(resid, p0, bounds=(lower, upper), method="trf")
-        except Exception:
+        except ValueError:  # includes LinAlgError
             continue
         if not sol.success:
             continue

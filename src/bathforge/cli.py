@@ -82,6 +82,8 @@ _TABLES = {
     },
 }
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 _SPEC_FLAGS = ("quadrature", "alpha", "omega0_hz", "teeth", "p", "envelope", "seed")
 
 
@@ -118,11 +120,11 @@ class Options:
         kind = self.table[key][0]
         try:
             if kind is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+                return _BOOL_WORDS[raw.strip().lower()]
             if kind is list:
                 return [float(v) for v in raw.split(",")]
             return kind(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ConfigError(f"bad value for {key!r}: {raw!r}")
 
     def __getitem__(self, key: str):
@@ -215,7 +217,10 @@ def cmd_synth(args) -> int:
 
 
 def _load_program(path) -> ControlProgram:
-    """Program file: one 'duration_s rabi_hz phase_rad [detuning_hz]' per line."""
+    """Program file: one 'duration_s rabi_hz phase_rad [detuning_hz]' per line.
+
+    ``detuning_hz`` must be 0 for now: ``compose`` rejects detuned segments.
+    """
     segs = []
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):

@@ -131,8 +131,3 @@ def calibration_from_mapping(mapping: dict, strict: bool = True) -> CountCalibra
         raise ConfigError(f"missing calibration key {exc.args[0]!r}")
     except ValueError as exc:
         raise ConfigError(f"bad calibration value: {exc}")
-
-
-def load_spec(path) -> NoiseSpec:
-    with open(path) as fh:
-        return spec_from_mapping(parse_kv(fh.read()))

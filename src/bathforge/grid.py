@@ -23,8 +23,10 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError(f"grid dt must be positive, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise ValidationError(f"grid t0 must be finite, got {self.t0}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"grid dt must be finite and positive, got {self.dt}")
         if self.n < 1:
             raise ValidationError(f"grid must have at least one sample, got n={self.n}")
 

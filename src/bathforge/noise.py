@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -45,14 +46,15 @@ class NoiseSpec:
     quadrature : Quadrature
         Which control quadrature the noise enters.
     alpha : float
-        Global dimensionless noise strength, >= 0.
+        Global dimensionless noise strength, finite and >= 0.
     omega0 : float
-        Base (lowest) angular frequency of the comb in rad/s.  The upper
-        cutoff is the derived quantity ``teeth * omega0``, never stored.
+        Base (lowest) angular frequency of the comb in rad/s, finite and
+        > 0.  The upper cutoff is the derived quantity ``teeth * omega0``,
+        never stored.
     teeth : int
         Number of comb teeth J >= 1.
     p : float, optional
-        Power-law exponent of the target PSD.  Mutually exclusive with
+        Finite power-law exponent of the target PSD.  Mutually exclusive with
         ``envelope``.
     envelope : tuple of float, optional
         Explicit tabulated F(j) values, length ``teeth``, all finite.
@@ -71,12 +73,16 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.quadrature, Quadrature):
             raise ValidationError(f"quadrature must be a Quadrature, got {self.quadrature!r}")
+        if not isinstance(self.teeth, numbers.Integral) or isinstance(self.teeth, bool):
+            raise ValidationError(f"teeth must be an integer, got {self.teeth!r}")
         if self.teeth < 1:
             raise ValidationError(f"teeth must be >= 1, got {self.teeth}")
-        if self.omega0 <= 0:
-            raise ValidationError(f"omega0 must be positive, got {self.omega0}")
-        if self.alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.omega0) and self.omega0 > 0):
+            raise ValidationError(f"omega0 must be finite and positive, got {self.omega0}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if self.p is not None and not math.isfinite(self.p):
+            raise ValidationError(f"p must be finite, got {self.p}")
         if not (0 <= self.seed <= _MAX_SEED):
             raise ValidationError("seed must fit in 64 bits")
         if (self.p is None) == (self.envelope is None):

@@ -6,12 +6,12 @@ The interaction-picture Hamiltonian is
 
 with ``c_z = (Delta - beta_z)/2``: a static fringe detuning Delta plus the
 engineered detuning noise, which enters with a minus sign because it derives
-from phase modulation of the local oscillator.  Evolution applies the exact
-2x2 Pauli exponential of each piecewise-constant sample, which is
-unconditionally unitary, and free evolution under pure sigma_z terms is
-applied in closed form through differences of the accumulated phase phi_N
-(sigma_z terms at different times commute), so it carries no discretization
-error at all.
+from phase modulation of the local oscillator.  ``propagate``, the Ramsey
+pulses and the Rabi drive all step through one in-place stepper that applies
+the exact, unconditionally unitary 2x2 Pauli exponential of each
+piecewise-constant sample.  Free evolution under pure sigma_z terms is applied
+in closed form through differences of the accumulated phase phi_N (sigma_z
+terms at different times commute), so it carries no discretization error.
 """
 
 from __future__ import annotations
@@ -109,29 +109,30 @@ def rotate_z(state: np.ndarray, angle) -> np.ndarray:
 
 
 def propagate(state: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.ndarray:
-    """Evolve through every piecewise-constant sample of ``samples``.
+    """Evolve a copy of ``state`` through every piecewise-constant sample.
 
     Each step applies the exact unitary of the sampled Hamiltonian, so norm
     is preserved to rounding regardless of step count.  Steps must satisfy
     Omega*dt <= 0.05 and |2 z_coeff|*dt <= 0.05 so that sampling the
     time-dependent coefficients once per step is accurate.
     """
+    return _evolve(np.array(state, dtype=complex, copy=True), samples, dt)
+
+
+def _evolve(states: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.ndarray:
+    """In-place core of :func:`propagate`, the only loop over ``_su2_step``."""
     z = np.atleast_1d(np.asarray(samples.z_coeff, dtype=float))
     om = np.atleast_1d(np.asarray(samples.rabi, dtype=float))
     ph = np.atleast_1d(np.asarray(samples.phase, dtype=float))
-    m = max(z.shape[-1], om.shape[-1], ph.shape[-1])
-    if np.max(np.abs(om)) * dt > _STEP_LIMIT * (1 + 1e-9):
+    if np.max(np.abs(om), initial=0.0) * dt > _STEP_LIMIT * (1 + 1e-9):
         raise ValidationError(f"Omega*dt exceeds {_STEP_LIMIT} rad per step")
-    if np.max(np.abs(2.0 * z)) * dt > _STEP_LIMIT * (1 + 1e-9):
+    if np.max(np.abs(2.0 * z), initial=0.0) * dt > _STEP_LIMIT * (1 + 1e-9):
         raise ValidationError(f"|2 z_coeff|*dt exceeds {_STEP_LIMIT} rad per step")
-    out = np.array(state, dtype=complex, copy=True)
-    z, om, ph = (np.broadcast_to(x, x.shape[:-1] + (m,)) for x in (z, om, ph))
-    for k in range(m):
-        vx = om[..., k] * np.cos(ph[..., k])
-        vy = om[..., k] * np.sin(ph[..., k])
-        vz = 2.0 * z[..., k]
-        _su2_step(out, vx, vy, vz, dt)
-    return out
+    # per-step rotation vector, computed once for the whole call
+    vx, vy, vz = np.broadcast_arrays(om * np.cos(ph), om * np.sin(ph), 2.0 * z)
+    for k in range(vx.shape[-1]):
+        _su2_step(states, vx[..., k], vy[..., k], vz[..., k], dt)
+    return states
 
 
 def _pulse_steps(duration: float, rabi: float, z_bound: float) -> int:
@@ -146,22 +147,11 @@ def _detuning_bound(spec: NoiseSpec) -> float:
     return spec.alpha * spec.omega0 * float(np.sum(np.abs(j * spec.envelope_table())))
 
 
-def _apply_pulse(states: np.ndarray, spec: NoiseSpec, psi: np.ndarray,
-                 t_start: float, duration: float, n_steps: int, rabi: float,
-                 phi_c: float, delta: float, with_noise: bool) -> np.ndarray:
-    """Drive pulse with (optionally) detuning noise sampled at step midpoints."""
-    dt = duration / n_steps
-    mids = t_start + dt * (np.arange(n_steps) + 0.5)
-    if with_noise and spec.alpha > 0:
-        beta = detuning_waveform_at(spec, psi, mids)  # (batch, m)
-    else:
-        beta = np.zeros((1, n_steps))
-    vx = rabi * math.cos(phi_c)
-    vy = rabi * math.sin(phi_c)
-    for k in range(n_steps):
-        vz = delta - beta[..., k]
-        _su2_step(states, vx, vy, vz, dt)
-    return states
+def _apply_pulse(states: np.ndarray, beta: np.ndarray, rabi: float, phi_c: float,
+                 delta: float, dt: float) -> np.ndarray:
+    """Drive pulse about ``phi_c`` with detuning ``delta - beta`` sampled per step."""
+    return _evolve(states, HamiltonianSamples(z_coeff=0.5 * (delta - beta),
+                                              rabi=rabi, phase=phi_c), dt)
 
 
 def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
@@ -198,6 +188,10 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
     z_bound = _detuning_bound(spec) + abs(fringe_detuning)
     n_steps = _pulse_steps(t_pulse, pulse_rabi, z_bound if noise_during_pulses
                            else abs(fringe_detuning))
+    dt = t_pulse / n_steps
+    mids = dt * (np.arange(n_steps) + 0.5)
+    noisy_pulses = noise_during_pulses and spec.alpha > 0
+    beta = np.zeros((1, n_steps))
     n = n_realizations
     mean = np.empty(len(taus))
     se = np.empty(len(taus))
@@ -210,8 +204,9 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
             base = it * n
             psi = draw_phase_matrix(spec, range(base, base + n))
         states = ket0(psi.shape[0])
-        _apply_pulse(states, spec, psi, 0.0, t_pulse, n_steps, pulse_rabi,
-                     0.0, fringe_detuning, noise_during_pulses)
+        if noisy_pulses:
+            beta = detuning_waveform_at(spec, psi, mids)  # (batch, m)
+        _apply_pulse(states, beta, pulse_rabi, 0.0, fringe_detuning, dt)
         # free evolution is exact: integral of beta_z is a phi_N difference
         if spec.alpha > 0:
             ends = phase_waveform_at(spec, psi, np.array([t_pulse, t_pulse + tau]))
@@ -220,11 +215,11 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
             dphi = 0.0
         rotate_z(states, fringe_detuning * tau - dphi)
         states_y = states.copy()
-        t_second = t_pulse + tau
-        _apply_pulse(states, spec, psi, t_second, t_pulse, n_steps, pulse_rabi,
-                     0.0, fringe_detuning, noise_during_pulses)
-        _apply_pulse(states_y, spec, psi, t_second, t_pulse, n_steps, pulse_rabi,
-                     0.5 * math.pi, fringe_detuning, noise_during_pulses)
+        # one noise sample serves the 0 and 90 degree analysis pulses
+        if noisy_pulses:
+            beta = detuning_waveform_at(spec, psi, (t_pulse + tau) + mids)
+        _apply_pulse(states, beta, pulse_rabi, 0.0, fringe_detuning, dt)
+        _apply_pulse(states_y, beta, pulse_rabi, 0.5 * math.pi, fringe_detuning, dt)
         p_a = population_1(states)
         p_b = population_1(states_y)
         if freeze_phases:
@@ -254,8 +249,7 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
 
 
 def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
-         n_realizations: int, multiplicative: bool = True,
-         dt: float | None = None) -> ExperimentRecord:
+         n_realizations: int, dt: float | None = None) -> ExperimentRecord:
     """Driven Rabi flopping under engineered amplitude noise.
 
     Each ensemble member is one continuous drive trajectory with
@@ -264,11 +258,8 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     the snapped values are returned as the sweep).  The default step keeps
     both the drive rotation per step below 0.05 rad and the sample rate at
     >= 20x the highest comb tooth; pass ``dt`` to override, e.g. for
-    step-refinement convergence checks.
-
-    With a constant drive the multiplicative and additive noise conventions
-    coincide (Omega_C + Omega_0 beta = Omega_0 (1 + beta)); the flag is
-    recorded in the metadata for downstream bookkeeping.
+    step-refinement convergence checks.  A ``dt`` whose drive rotation per
+    step exceeds 0.05 rad is rejected.
     """
     if spec.quadrature is not Quadrature.AMPLITUDE:
         raise ValidationError("rabi requires an amplitude noise spec")
@@ -280,36 +271,32 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     F = spec.envelope_table()
     beta_bound = spec.alpha * float(np.sum(np.abs(F)))
     om_bound = drive_rabi * (1.0 + beta_bound)
-    dt_default = min(_STEP_LIMIT / om_bound, math.pi / (10.0 * spec.omega_cutoff))
     if dt is None:
-        dt = dt_default
+        dt = min(_STEP_LIMIT / om_bound, math.pi / (10.0 * spec.omega_cutoff))
     t_max = float(np.max(durations))
     n_steps = max(1, int(math.ceil(t_max / dt - 1e-12)))
     marks = np.clip(np.round(durations / dt).astype(int), 0, n_steps)
     psi = draw_phase_matrix(spec, range(n_realizations))
     states = ket0(n_realizations)
     mids = dt * (np.arange(n_steps) + 0.5)
-    beta = amplitude_waveform_at(spec, psi, mids) if spec.alpha > 0 else None
+    if spec.alpha > 0:
+        omega = drive_rabi * (1.0 + amplitude_waveform_at(spec, psi, mids))
+    else:
+        omega = np.full((1, n_steps), float(drive_rabi))
     pops = np.empty((n_realizations, len(durations)))
-    for idx in np.flatnonzero(marks == 0):
-        pops[:, idx] = population_1(states)
-    for k in range(n_steps):
-        if beta is not None:
-            om = drive_rabi * (1.0 + beta[:, k])
-        else:
-            om = np.full(n_realizations, drive_rabi)
-        _su2_step(states, om, 0.0, 0.0, dt)
-        hit = np.flatnonzero(marks == k + 1)
-        for idx in hit:
-            pops[:, idx] = population_1(states)
+    done = 0
+    for mark in np.unique(marks):
+        _evolve(states, HamiltonianSamples(z_coeff=0.0, rabi=omega[:, done:mark],
+                                           phase=0.0), dt)
+        pops[:, marks == mark] = population_1(states)[:, None]
+        done = mark
     mean = pops.mean(axis=0)
     se = (pops.std(axis=0, ddof=1) / math.sqrt(n_realizations)
           if n_realizations > 1 else np.zeros(len(durations)))
     return ExperimentRecord(
         kind="rabi", sweep=marks * dt, mean=mean, stderr=se,
         n_realizations=n_realizations, spec_hash=spec.spec_hash(),
-        meta={"drive_rabi": drive_rabi, "dt": dt,
-              "multiplicative": multiplicative, "n_steps": n_steps})
+        meta={"drive_rabi": drive_rabi, "dt": dt, "n_steps": n_steps})
 
 
 def export_record_csv(record: ExperimentRecord, path) -> None:

@@ -1,11 +1,13 @@
 """Control programs, noise composition, IQ conversion, quantization, export.
 
 A control program is an ordered list of segments with constant Rabi
-amplitude, drive phase and static detuning.  Composition samples the program
-on a grid, folds in up to one dephasing and one amplitude noise realization,
-and yields the polar pair (Omega(t), phi(t)); ``to_iq`` converts to the
-Cartesian baseband pair I = Omega cos(phi), Q = Omega sin(phi) that a vector
-signal generator consumes.
+amplitude and drive phase.  Each segment also has a static detuning field
+that must be 0: the phase ramp it would add is not implemented, so
+``compose`` rejects a nonzero value instead of ignoring it.  Composition
+samples the program on a grid, folds in up to one dephasing and one
+amplitude noise realization, and yields the polar pair (Omega(t), phi(t));
+``to_iq`` converts to the Cartesian baseband pair I = Omega cos(phi),
+Q = Omega sin(phi) that a vector signal generator consumes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class Segment:
     duration: float
     omega_c: float = 0.0     # Rabi amplitude, rad/s
     phi_c: float = 0.0       # drive phase, rad
-    detuning: float = 0.0    # static detuning, rad/s
+    detuning: float = 0.0    # static detuning, rad/s; compose requires 0
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -110,8 +112,10 @@ def compose(program: ControlProgram, grid: TimeGrid,
     it, Omega = Omega_C + Omega_ref * beta, depending on ``amplitude_mode``
     (exactly one mode; ``omega_ref`` defaults to the largest segment
     amplitude for the additive mode).  Noise realizations must be sampled on
-    the same grid used here.
+    the same grid used here.  A segment with a nonzero detuning is rejected.
     """
+    if any(seg.detuning != 0 for seg in program.segments):
+        raise ValidationError("segment detuning is not implemented; it must be 0")
     if amplitude_mode not in ("multiplicative", "additive"):
         raise ValidationError("amplitude_mode must be 'multiplicative' or 'additive'")
     t = grid.times()

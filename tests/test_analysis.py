@@ -71,6 +71,26 @@ class TestFitDecay:
         with pytest.raises(ValidationError):
             fit_decay(synthetic_record(), model="lorentzian")
 
+    def test_unexpected_solver_error_propagates(self, monkeypatch):
+        import bathforge.analysis
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(bathforge.analysis, "least_squares", broken)
+        with pytest.raises(RuntimeError, match="solver bug"):
+            fit_decay(synthetic_record())
+
+    def test_solver_value_error_skips_start(self, monkeypatch):
+        import bathforge.analysis
+
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(bathforge.analysis, "least_squares", refuse)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_decay(synthetic_record())
+
     def test_param_errors_scale_with_noise(self):
         quiet = fit_decay(synthetic_record(noise=0.002, stderr=0.002, seed=1))
         loud = fit_decay(synthetic_record(noise=0.02, stderr=0.02, seed=1))

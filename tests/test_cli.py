@@ -179,6 +179,34 @@ class TestCliErrors:
         assert rc == 3
         assert "teeth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word", ["ture", "2", ""])
+    def test_bad_bool_config_exit_2(self, tmp_path, spec_file, capsys, word):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"pulse_noise = {word}\n")
+        rc = main(["simulate", "ramsey", "--spec", spec_file, "--config", str(cfg),
+                   "--tau-max", "0.004", "--points", "3", "--realizations", "2",
+                   "--out", str(tmp_path / "ram")])
+        assert rc == 2
+        assert "pulse_noise" in capsys.readouterr().err
+        assert not (tmp_path / "ram.csv").exists()
+
+    @pytest.mark.parametrize("word,value", [("1", True), ("TRUE", True), (" Yes ", True),
+                                            ("on", True), ("0", False), ("False", False),
+                                            ("no", False), ("OFF", False)])
+    def test_bool_words_accepted(self, word, value):
+        from bathforge.cli import Options
+        opts = Options("simulate")
+        opts.merge_config({"pulse_noise": word})
+        assert opts["pulse_noise"] is value
+
+    def test_detuned_program_exit_3(self, tmp_path, capsys):
+        prog = tmp_path / "prog.txt"
+        prog.write_text("0.002 250 0 500\n0.004 0 0\n")
+        rc = main(["export", "--program", str(prog), "--rate", "8000",
+                   "--out", str(tmp_path / "wave")])
+        assert rc == 3
+        assert "detuning" in capsys.readouterr().err
+
     def test_missing_spec_exit_2(self, tmp_path):
         rc = main(["synth", "--out", str(tmp_path / "x")])
         assert rc == 2

@@ -42,6 +42,22 @@ class TestNoiseSpec:
             NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1, omega0=1, teeth=2,
                       envelope=(1.0, math.inf))
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", math.nan), ("alpha", math.inf),
+        ("omega0", math.nan), ("omega0", math.inf),
+        ("p", math.nan), ("p", math.inf), ("p", -math.inf),
+        ("teeth", 2.5), ("teeth", 3.0), ("teeth", True),
+    ])
+    def test_nonfinite_or_fractional_rejected(self, field, value):
+        kwargs = dict(quadrature=Quadrature.DEPHASING, alpha=1.0, omega0=1.0,
+                      teeth=3, p=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=field):
+            NoiseSpec(**kwargs)
+
+    def test_numpy_integer_teeth_accepted(self):
+        assert white_dephasing(teeth=np.int64(5)).teeth == 5
+
     def test_cutoff_derived(self):
         spec = white_dephasing(omega0=3.0, teeth=7)
         assert spec.omega_cutoff == 7 * 3.0
@@ -51,6 +67,16 @@ class TestNoiseSpec:
         b = white_dephasing(alpha=0.25)
         assert a.spec_hash() != b.spec_hash()
         assert a.spec_hash() == white_dephasing(alpha=0.5).spec_hash()
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("t0,dt", [
+        (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+        (0.0, math.nan), (0.0, math.inf),
+    ])
+    def test_nonfinite_rejected(self, t0, dt):
+        with pytest.raises(ValidationError):
+            TimeGrid(t0, dt, 3)
 
 
 class TestEnvelopeValues:

@@ -228,6 +228,42 @@ class TestRabi:
         assert np.allclose(coarse.sweep, fine.sweep, rtol=1e-12)
         assert np.max(np.abs(coarse.mean - fine.mean)) < 1e-6
 
+    def test_means_match_closed_form_from_single_draws(self):
+        # theta = Omega0 [t + alpha sum_j F_j/w_j (sin(w_j t + psi_j) - sin psi_j)],
+        # built from one draw_phases call per realization
+        spec = amp_spec(0.04, seed=47)
+        omega = TWO_PI * 1e3
+        n = 12
+        rec = rabi(spec, drive_rabi=omega, durations=np.linspace(0.2e-3, 5e-3, 9),
+                   n_realizations=n)
+        F = spec.envelope_table()
+        wj = spec.omega0 * np.arange(1, spec.teeth + 1)
+        p1 = np.zeros(len(rec.sweep))
+        for i in range(n):
+            psi = draw_phases(spec, i).psi
+            for k, t in enumerate(rec.sweep):
+                wiggle = np.sum(F / wj * (np.sin(wj * t + psi) - np.sin(psi)))
+                p1[k] += math.sin(0.5 * omega * (t + spec.alpha * wiggle)) ** 2 / n
+        assert np.max(np.abs(rec.mean - p1)) < 1e-6
+
+    def test_dt_above_step_limit_rejected(self):
+        # 2 pi x 1 kHz x (1 + beta) x 1e-4 s is about 0.6 rad per step
+        with pytest.raises(ValidationError, match="Omega"):
+            rabi(amp_spec(0.03), drive_rabi=TWO_PI * 1e3, durations=[1e-3],
+                 n_realizations=2, dt=1e-4)
+
+    def test_unsorted_duplicate_zero_durations(self):
+        spec = amp_spec(0.03, seed=9)
+        kwargs = dict(drive_rabi=TWO_PI * 1e3, n_realizations=15)
+        durations = np.array([3e-3, 0.0, 1e-3, 3e-3, 2e-3, 0.0])
+        ordered = np.unique(durations)
+        shuffled = rabi(spec, durations=durations, **kwargs)
+        ref = rabi(spec, durations=ordered, **kwargs)
+        where = np.searchsorted(ordered, durations)
+        for field in ("sweep", "mean", "stderr"):
+            assert np.array_equal(getattr(shuffled, field), getattr(ref, field)[where])
+        assert np.all(shuffled.mean[durations == 0.0] == 0.0)
+
     def test_deterministic(self):
         spec = amp_spec(0.02, seed=3)
         kwargs = dict(drive_rabi=TWO_PI * 500.0, durations=[1e-3, 2e-3],

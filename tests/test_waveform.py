@@ -48,6 +48,13 @@ class TestCompose:
         assert np.all(om == 0.0)
         assert np.array_equal(phi, real.phi_n)
 
+    @pytest.mark.parametrize("detuning", [TWO_PI * 500.0, -1e-9, math.nan])
+    def test_nonzero_detuning_rejected(self, detuning):
+        prog = ControlProgram((Segment(duration=0.5, omega_c=10.0),
+                               Segment(duration=0.5, omega_c=10.0, detuning=detuning)))
+        with pytest.raises(ValidationError, match="detuning"):
+            compose(prog, TimeGrid.from_span(0.0, 1.0, 64))
+
     def test_multiplicative_amplitude(self):
         spec = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.02, omega0=50.0,
                          teeth=4, p=0, seed=3)
