@@ -13,8 +13,7 @@ from .errors import (AmplitudeRangeWarning, ApproximationWarning, BathforgeError
                      ConfigError, FitError, NyquistError, ValidationError)
 from .grid import TimeGrid
 from .noise import (AnalyticComb, NoiseRealization, NoiseSpec, PhaseDraw, Quadrature,
-                    amplitude_waveform, analytic_autocorrelation, analytic_psd,
-                    dephasing_phase_waveform, detuning_waveform, draw_phases,
+                    analytic_autocorrelation, analytic_psd, draw_phases,
                     envelope_values, realize)
 from .filter_theory import (CoherenceCurve, chi_fid_comb, chi_from_comb,
                             chi_quadratic_limit, chi_white_analytic, coherence_curve,

@@ -84,7 +84,6 @@ _TABLES = {
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
-_SPEC_FLAGS = ("quadrature", "alpha", "omega0_hz", "teeth", "p", "envelope", "seed")
 
 
 def _sha256_file(path) -> str:
@@ -151,7 +150,7 @@ def _spec_sources(args, config_map: dict) -> dict:
     if getattr(args, "spec", None):
         with open(args.spec) as fh:
             spec_map.update(parse_kv(fh.read()))
-    for key in _SPEC_FLAGS:
+    for key in SPEC_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             spec_map[key] = str(val)

@@ -63,10 +63,9 @@ def _reject_unknown(mapping: dict, allowed) -> None:
             raise ConfigError(f"unknown configuration key {key!r}")
 
 
-def spec_from_mapping(mapping: dict, strict: bool = True) -> NoiseSpec:
+def spec_from_mapping(mapping: dict) -> NoiseSpec:
     """Build a NoiseSpec from parsed config keys (Hz -> rad/s here)."""
-    if strict:
-        _reject_unknown(mapping, SPEC_KEYS)
+    _reject_unknown(mapping, SPEC_KEYS)
     try:
         quad = Quadrature(mapping["quadrature"].lower())
     except KeyError:
@@ -118,10 +117,9 @@ def mapping_from_spec(spec: NoiseSpec) -> dict:
     return out
 
 
-def calibration_from_mapping(mapping: dict, strict: bool = True) -> CountCalibration:
+def calibration_from_mapping(mapping: dict) -> CountCalibration:
     """Build a readout calibration from config keys."""
-    if strict:
-        _reject_unknown(mapping, CALIBRATION_KEYS)
+    _reject_unknown(mapping, CALIBRATION_KEYS)
     try:
         return CountCalibration(bright_mean=float(mapping["bright_mean"]),
                                 dark_mean=float(mapping["dark_mean"]),

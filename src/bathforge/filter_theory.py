@@ -6,9 +6,10 @@ two-sided PSD the coherence integral is
     chi(tau) = (2/pi) * int_0^inf  S(omega)/omega^2 * sin^2(omega*tau/2) domega
 
 and for a delta-comb the integral collapses to a finite sum over the teeth.
-For the dephasing comb this gives
+With the tooth weights (pi/2) a_j^2 of :func:`bathforge.noise.analytic_psd`
+this gives
 
-    chi(tau) = alpha^2 omega0^2 sum_j (j F(j))^2 sin^2(j omega0 tau / 2) / (j omega0)^2
+    chi(tau) = sum_j a_j^2 sin^2(omega_j tau / 2) / omega_j^2
 
 which equals half the ensemble variance of the phase accumulated between the
 Ramsey pulses, the quantity the Monte-Carlo visibility actually measures.
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ApproximationWarning, ValidationError
-from .noise import AnalyticComb, NoiseSpec, Quadrature
+from .noise import AnalyticComb, NoiseSpec, Quadrature, analytic_psd
 
 
 @dataclass(frozen=True)
@@ -40,35 +41,30 @@ def fid_filter(omega, tau) -> np.ndarray:
     return np.sin(np.asarray(omega) * tau / 2.0) ** 2
 
 
-def chi_from_comb(comb: AnalyticComb, filter_values: np.ndarray) -> float:
+def chi_from_comb(comb: AnalyticComb, filter_values: np.ndarray) -> np.ndarray | float:
     """Generic coherence sum (2/pi) * sum_j w_j * f_j / omega_j^2.
 
     ``filter_values`` are the caller's filter function evaluated at the tooth
-    frequencies; with the FID filter this reproduces :func:`chi_fid_comb`
-    exactly, since integrating delta teeth is the discrete sum by
-    construction.  The same entry point serves amplitude-noise combs with a
-    caller-supplied driven-evolution filter, for which no closed form is
-    claimed here.
+    frequencies, shape (..., J); the sum runs over the last axis.  With the
+    FID filter this is :func:`chi_fid_comb`, since integrating delta teeth is
+    the discrete sum by construction.  The same entry point serves
+    amplitude-noise combs with a caller-supplied driven-evolution filter, for
+    which no closed form is claimed here.
     """
     f = np.asarray(filter_values, dtype=float)
-    if f.shape != comb.omega.shape:
+    if f.shape[-1:] != comb.omega.shape:
         raise ValidationError("filter_values must match the comb teeth")
-    return float((2.0 / np.pi) * np.sum(comb.weights * f / comb.omega**2))
+    out = (f @ (comb.weights / comb.omega**2)) * (2.0 / np.pi)
+    return float(out) if out.ndim == 0 else out
 
 
 def chi_fid_comb(spec: NoiseSpec, tau) -> np.ndarray | float:
-    """Exact free-evolution chi(tau) for a dephasing comb.
-
-    Evaluates alpha^2 omega0^2 sum_j (jF)^2 sin^2(j omega0 tau/2)/(j omega0)^2.
-    """
+    """Exact free-evolution chi(tau) for a dephasing comb: the FID filter on its PSD."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("chi_fid_comb requires a dephasing spec")
+    comb = analytic_psd(spec)
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    F = spec.envelope_table()
-    j = np.arange(1, spec.teeth + 1, dtype=float)
-    wj = spec.tooth_frequencies()
-    coeff = (spec.alpha * spec.omega0) ** 2 * (j * F) ** 2 / wj**2
-    out = np.sin(np.outer(tau_arr, wj) / 2.0) ** 2 @ coeff
+    out = chi_from_comb(comb, fid_filter(comb.omega, tau_arr[..., None]))
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
@@ -100,10 +96,7 @@ def chi_quadratic_limit(spec: NoiseSpec, tau) -> np.ndarray | float:
         warnings.warn(
             f"J*omega0*tau = {worst:.3g} > 0.5: quadratic limit is not valid here",
             ApproximationWarning, stacklevel=2)
-    F = spec.envelope_table()
-    j = np.arange(1, spec.teeth + 1, dtype=float)
-    c0 = 0.5 * (spec.alpha * spec.omega0) ** 2 * np.sum((j * F) ** 2)
-    out = 0.5 * c0 * tau_arr**2
+    out = 0.5 * analytic_psd(spec).variance() * tau_arr**2
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 

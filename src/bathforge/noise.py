@@ -1,17 +1,21 @@
 """Frequency-comb noise: specifications, stochastic realizations, analytic oracles.
 
 A noise bath is a finite comb of J equally spaced sinusoids with random
-phases.  The envelope F(j) of the tooth amplitudes sets the power law of the
-resulting power spectral density:
+phases.  Every quantity downstream of a spec reads one table, the tooth
+amplitudes ``a_j`` (:meth:`NoiseSpec.tooth_amplitudes`) of the physical noise
 
-* dephasing quadrature: the carrier phase is modulated by
-  ``phi_N(t) = alpha * sum_j F(j) sin(j*omega0*t + psi_j)`` and the physical
-  noise is the instantaneous detuning ``beta_z = d(phi_N)/dt``,
-* amplitude quadrature: the drive strength is modulated fractionally by
-  ``beta_Omega(t) = alpha * sum_j F(j) cos(j*omega0*t + psi_j)``.
+    beta(t) = sum_j a_j cos(j*omega0*t + psi_j),   j = 1..J,
 
-For a target PSD scaling ``S(j*omega0) ~ (j*omega0)**p`` the envelopes are
-``F(j) = j**(p/2 - 1)`` (dephasing) and ``F(j) = j**(p/2)`` (amplitude).
+* dephasing quadrature: ``a_j = alpha*omega0*j*F(j)`` in rad/s.  ``beta`` is
+  the instantaneous detuning ``beta_z = d(phi_N)/dt`` of the carrier phase
+  modulation ``phi_N(t) = alpha * sum_j F(j) sin(j*omega0*t + psi_j)``,
+* amplitude quadrature: ``a_j = alpha*F(j)``, dimensionless.  ``beta`` is the
+  fractional drive modulation ``beta_Omega``.
+
+The envelope F(j) sets the power law of the PSD, whose delta teeth carry
+weight ``(pi/2) a_j**2``.  For ``S(j*omega0) ~ (j*omega0)**p`` the envelopes
+are ``F(j) = j**(p/2 - 1)`` (dephasing) and ``F(j) = j**(p/2)`` (amplitude),
+so ``a_j ~ j**(p/2)`` in both quadratures.
 """
 
 from __future__ import annotations
@@ -109,6 +113,13 @@ class NoiseSpec:
         if self.envelope is not None:
             return np.asarray(self.envelope, dtype=float)
         return envelope_values(self)
+
+    def tooth_amplitudes(self) -> np.ndarray:
+        """Tooth amplitudes a_j, j = 1..J, of the physical noise (see the module docstring)."""
+        amps = self.alpha * self.envelope_table()
+        if self.quadrature is Quadrature.DEPHASING:
+            return amps * self.tooth_frequencies()
+        return amps
 
     def spec_hash(self) -> str:
         """Short stable hash identifying this spec in file headers."""
@@ -211,75 +222,50 @@ def _comb_eval(times: np.ndarray, omegas: np.ndarray, amps: np.ndarray,
     return out[0] if single else out
 
 
-def _check_nyquist(spec: NoiseSpec, dt: float):
-    limit = math.pi / spec.omega_cutoff
-    if dt > limit:
-        raise NyquistError(
-            f"grid dt={dt:g} s exceeds the Nyquist limit pi/(J*omega0)={limit:g} s "
-            f"for the highest comb tooth")
-
-
 def phase_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """phi_N evaluated at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("phase waveform is defined for dephasing specs only")
+    # alpha*F(j) = a_j/omega_j, kept in this form so phi_N stays bit-stable
     F = spec.envelope_table()
     return spec.alpha * _comb_eval(times, spec.tooth_frequencies(), F, psi, "sin")
 
 
 def detuning_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """beta_z evaluated at arbitrary times (no Nyquist check); batch-aware."""
+    """beta_z = d(phi_N)/dt in rad/s at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("detuning waveform is defined for dephasing specs only")
-    j = np.arange(1, spec.teeth + 1, dtype=float)
-    amps = j * spec.envelope_table()
-    return spec.alpha * spec.omega0 * _comb_eval(
-        times, spec.tooth_frequencies(), amps, psi, "cos")
+    return _comb_eval(times, spec.tooth_frequencies(), spec.tooth_amplitudes(), psi, "cos")
 
 
 def amplitude_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """beta_Omega evaluated at arbitrary times (no Nyquist check); batch-aware."""
+    """beta_Omega at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.AMPLITUDE:
         raise ValidationError("amplitude waveform is defined for amplitude specs only")
-    F = spec.envelope_table()
-    total = spec.alpha * np.sum(np.abs(F))
+    amps = spec.tooth_amplitudes()
+    total = np.sum(np.abs(amps))
     if total >= 1.0:
         warnings.warn(
-            f"alpha * sum|F(j)| = {total:.3g} >= 1: the modulated field amplitude "
+            f"sum_j |a_j| = {total:.3g} >= 1: the modulated field amplitude "
             "can go negative", AmplitudeRangeWarning, stacklevel=2)
-    return spec.alpha * _comb_eval(times, spec.tooth_frequencies(), F, psi, "cos")
-
-
-def dephasing_phase_waveform(spec: NoiseSpec, draw: PhaseDraw, grid: TimeGrid) -> np.ndarray:
-    """phi_N(t) = alpha * sum_j F(j) sin(j*omega0*t + psi_j) on the grid."""
-    _check_nyquist(spec, grid.dt)
-    return phase_waveform_at(spec, draw.psi, grid.times())
-
-
-def detuning_waveform(spec: NoiseSpec, draw: PhaseDraw, grid: TimeGrid) -> np.ndarray:
-    """beta_z(t) = d(phi_N)/dt, evaluated analytically (not by differencing).
-
-    beta_z(t) = alpha * omega0 * sum_j j*F(j) cos(j*omega0*t + psi_j), rad/s.
-    """
-    _check_nyquist(spec, grid.dt)
-    return detuning_waveform_at(spec, draw.psi, grid.times())
-
-
-def amplitude_waveform(spec: NoiseSpec, draw: PhaseDraw, grid: TimeGrid) -> np.ndarray:
-    """beta_Omega(t) = alpha * sum_j F(j) cos(j*omega0*t + psi_j), dimensionless."""
-    _check_nyquist(spec, grid.dt)
-    return amplitude_waveform_at(spec, draw.psi, grid.times())
+    return _comb_eval(times, spec.tooth_frequencies(), amps, psi, "cos")
 
 
 def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRealization:
-    """Draw phases for one ensemble member and sample its waveforms."""
+    """Draw phases for one ensemble member and sample its waveforms on the grid."""
+    limit = math.pi / spec.omega_cutoff
+    if grid.dt > limit:
+        raise NyquistError(
+            f"grid dt={grid.dt:g} s exceeds the Nyquist limit pi/(J*omega0)={limit:g} s "
+            f"for the highest comb tooth")
     draw = draw_phases(spec, realization_index)
+    t = grid.times()
     if spec.quadrature is Quadrature.DEPHASING:
-        beta = detuning_waveform(spec, draw, grid)
-        phi_n = dephasing_phase_waveform(spec, draw, grid)
-        return NoiseRealization(spec=spec, draw=draw, grid=grid, beta=beta, phi_n=phi_n)
-    beta = amplitude_waveform(spec, draw, grid)
-    return NoiseRealization(spec=spec, draw=draw, grid=grid, beta=beta)
+        return NoiseRealization(spec=spec, draw=draw, grid=grid,
+                                beta=detuning_waveform_at(spec, draw.psi, t),
+                                phi_n=phase_waveform_at(spec, draw.psi, t))
+    return NoiseRealization(spec=spec, draw=draw, grid=grid,
+                            beta=amplitude_waveform_at(spec, draw.psi, t))
 
 
 @dataclass(frozen=True)
@@ -305,34 +291,17 @@ class AnalyticComb:
 def analytic_psd(spec: NoiseSpec) -> AnalyticComb:
     """Exact delta-comb PSD of the spec.
 
-    Dephasing: S_z(omega) = (pi alpha^2 omega0^2 / 2) sum_j (j F(j))^2
-    [delta(omega - omega_j) + delta(omega + omega_j)]; the amplitude
-    quadrature drops the omega0^2 j^2 factor.
+    S(omega) = (pi/2) sum_j a_j^2 [delta(omega - omega_j) + delta(omega + omega_j)].
     """
-    F = spec.envelope_table()
-    j = np.arange(1, spec.teeth + 1, dtype=float)
-    if spec.quadrature is Quadrature.DEPHASING:
-        w = 0.5 * np.pi * spec.alpha**2 * spec.omega0**2 * (j * F) ** 2
-    else:
-        w = 0.5 * np.pi * spec.alpha**2 * F**2
-    return AnalyticComb(omega=spec.tooth_frequencies(), weights=w)
+    return AnalyticComb(omega=spec.tooth_frequencies(),
+                        weights=0.5 * np.pi * spec.tooth_amplitudes() ** 2)
 
 
 def analytic_autocorrelation(spec: NoiseSpec, tau) -> np.ndarray | float:
-    """Exact autocorrelation C(tau) of the comb process.
-
-    Dephasing: C(tau) = (alpha^2 omega0^2 / 2) sum_j (j F(j))^2 cos(omega_j tau);
-    amplitude: C(tau) = (alpha^2 / 2) sum_j F(j)^2 cos(omega_j tau).
-    """
+    """Exact autocorrelation C(tau) = sum_j (a_j^2 / 2) cos(omega_j tau) of the comb."""
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    F = spec.envelope_table()
-    j = np.arange(1, spec.teeth + 1, dtype=float)
-    wj = spec.tooth_frequencies()
-    if spec.quadrature is Quadrature.DEPHASING:
-        coeff = 0.5 * spec.alpha**2 * spec.omega0**2 * (j * F) ** 2
-    else:
-        coeff = 0.5 * spec.alpha**2 * F**2
-    out = np.cos(np.outer(tau_arr, wj)) @ coeff
+    coeff = 0.5 * spec.tooth_amplitudes() ** 2
+    out = np.cos(np.outer(tau_arr, spec.tooth_frequencies())) @ coeff
     return float(out[0]) if np.isscalar(tau) or np.ndim(tau) == 0 else out
 
 

@@ -121,6 +121,7 @@ def propagate(state: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.n
 
 def _evolve(states: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.ndarray:
     """In-place core of :func:`propagate`, the only loop over ``_su2_step``."""
+    _require_positive("dt", dt)
     z = np.atleast_1d(np.asarray(samples.z_coeff, dtype=float))
     om = np.atleast_1d(np.asarray(samples.rabi, dtype=float))
     ph = np.atleast_1d(np.asarray(samples.phase, dtype=float))
@@ -141,10 +142,17 @@ def _pulse_steps(duration: float, rabi: float, z_bound: float) -> int:
     return max(4, int(math.ceil(need)))
 
 
-def _detuning_bound(spec: NoiseSpec) -> float:
-    """Deterministic bound on |beta_z|: alpha*omega0*sum j|F(j)|."""
-    j = np.arange(1, spec.teeth + 1, dtype=float)
-    return spec.alpha * spec.omega0 * float(np.sum(np.abs(j * spec.envelope_table())))
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value}")
+
+
+def _sweep(name: str, values: Sequence[float]) -> np.ndarray:
+    """A non-empty sweep of finite values >= 0 as a float array."""
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValidationError(f"{name} must be a non-empty list of finite values >= 0")
+    return arr
 
 
 def _apply_pulse(states: np.ndarray, beta: np.ndarray, rabi: float, phi_c: float,
@@ -178,14 +186,14 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         raise ValidationError("ramsey requires a dephasing noise spec")
     if n_realizations < 1:
         raise ValidationError("n_realizations must be >= 1")
-    taus = np.asarray(list(taus), dtype=float)
-    if np.any(taus < 0):
-        raise ValidationError("tau values must be >= 0")
+    _require_positive("pulse_rabi", pulse_rabi)
+    taus = _sweep("taus", taus)
     if fringe_detuning == 0:
         warnings.warn("fringe detuning of 0 makes the decay fit degenerate",
                       UserWarning, stacklevel=2)
     t_pulse = 0.5 * math.pi / pulse_rabi
-    z_bound = _detuning_bound(spec) + abs(fringe_detuning)
+    # deterministic bound on |beta_z|
+    z_bound = float(np.sum(np.abs(spec.tooth_amplitudes()))) + abs(fringe_detuning)
     n_steps = _pulse_steps(t_pulse, pulse_rabi, z_bound if noise_during_pulses
                            else abs(fringe_detuning))
     dt = t_pulse / n_steps
@@ -265,14 +273,13 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
         raise ValidationError("rabi requires an amplitude noise spec")
     if n_realizations < 1:
         raise ValidationError("n_realizations must be >= 1")
-    durations = np.asarray(list(durations), dtype=float)
-    if np.any(durations < 0):
-        raise ValidationError("durations must be >= 0")
-    F = spec.envelope_table()
-    beta_bound = spec.alpha * float(np.sum(np.abs(F)))
+    _require_positive("drive_rabi", drive_rabi)
+    durations = _sweep("durations", durations)
+    beta_bound = float(np.sum(np.abs(spec.tooth_amplitudes())))
     om_bound = drive_rabi * (1.0 + beta_bound)
     if dt is None:
         dt = min(_STEP_LIMIT / om_bound, math.pi / (10.0 * spec.omega_cutoff))
+    _require_positive("dt", dt)
     t_max = float(np.max(durations))
     n_steps = max(1, int(math.ceil(t_max / dt - 1e-12)))
     marks = np.clip(np.round(durations / dt).astype(int), 0, n_steps)

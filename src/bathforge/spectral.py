@@ -47,14 +47,6 @@ class PsdEstimate:
             w[-1] = 1.0
         return float(np.sum(w * self.density) * self.rbw)
 
-    def one_sided(self) -> np.ndarray:
-        """Folded one-sided density: x2 on interior bins, x1 at DC/Nyquist."""
-        out = 2.0 * self.density.copy()
-        out[0] = self.density[0]
-        if self.n_samples % 2 == 0:
-            out[-1] = self.density[-1]
-        return out
-
 
 @dataclass(frozen=True)
 class SidebandComb:

@@ -199,6 +199,14 @@ class TestCliErrors:
         opts.merge_config({"pulse_noise": word})
         assert opts["pulse_noise"] is value
 
+    def test_zero_pulse_rabi_exit_3(self, tmp_path, spec_file, capsys):
+        rc = main(["simulate", "ramsey", "--spec", spec_file, "--pulse-rabi-hz", "0",
+                   "--tau-max", "0.004", "--points", "3", "--realizations", "2",
+                   "--out", str(tmp_path / "ram")])
+        assert rc == 3
+        assert "error category=validation" in capsys.readouterr().err
+        assert not (tmp_path / "ram.csv").exists()
+
     def test_detuned_program_exit_3(self, tmp_path, capsys):
         prog = tmp_path / "prog.txt"
         prog.write_text("0.002 250 0 500\n0.004 0 0\n")

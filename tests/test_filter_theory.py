@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bathforge import (ApproximationWarning, NoiseSpec, Quadrature, ValidationError,
                        analytic_psd, chi_fid_comb, chi_from_comb, chi_quadratic_limit,
@@ -68,6 +70,31 @@ class TestChiFidComb:
         for tau in (1e-3, 7e-3, 0.11):
             via_comb = chi_from_comb(comb, fid_filter(comb.omega, tau))
             assert via_comb == pytest.approx(chi_fid_comb(spec, tau), rel=1e-14)
+
+
+    def test_vectorized_filter_matches_scalar_calls(self):
+        comb = analytic_psd(deph(0.8, omega0_hz=3.0, teeth=40, p=-1))
+        taus = np.array([[1e-3, 7e-3, 0.11], [0.0, 0.02, 0.5]])
+        chis = chi_from_comb(comb, fid_filter(comb.omega, taus[..., None]))
+        assert chis.shape == taus.shape
+        for idx, tau in np.ndenumerate(taus):
+            assert chis[idx] == pytest.approx(
+                chi_from_comb(comb, fid_filter(comb.omega, tau)), rel=1e-14, abs=0)
+        with pytest.raises(ValidationError):
+            chi_from_comb(comb, np.ones((3, 39)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(0.01, 10.0), omega0=st.floats(0.1, 1e3),
+           teeth=st.integers(1, 3000), x=st.floats(0.0, math.pi))
+    def test_white_comb_closed_form(self, alpha, omega0, teeth, x):
+        # sum_j sin^2(j x)/j^2 = x (pi - x)/2 on 0 <= x = omega0 tau/2 <= pi, so
+        # chi = alpha^2 (pi omega0 tau/4 - omega0^2 tau^2/8); the teeth beyond J
+        # carry less than sum_{j>J} 1/j^2 < 1/J of it
+        spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=alpha, omega0=omega0,
+                         teeth=teeth, p=0)
+        tau = 2.0 * x / omega0
+        exact = alpha**2 * (math.pi * omega0 * tau / 4.0 - omega0**2 * tau**2 / 8.0)
+        assert abs(chi_fid_comb(spec, tau) - exact) <= alpha**2 / teeth
 
 
 class TestWhiteLimit:

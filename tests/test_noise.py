@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from bathforge import (AmplitudeRangeWarning, NoiseSpec, NyquistError, Quadrature,
-                       TimeGrid, ValidationError, amplitude_waveform,
-                       analytic_autocorrelation, analytic_psd,
-                       dephasing_phase_waveform, detuning_waveform, draw_phases,
-                       envelope_values, realize)
-from bathforge.noise import draw_phase_matrix, export_realization_csv
+                       TimeGrid, ValidationError, analytic_autocorrelation,
+                       analytic_psd, draw_phases, envelope_values, realize)
+from bathforge.noise import (amplitude_waveform_at, detuning_waveform_at,
+                             draw_phase_matrix, export_realization_csv,
+                             phase_waveform_at)
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +78,14 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             TimeGrid(t0, dt, 3)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValidationError, match="integer"):
+            TimeGrid(0.0, 0.1, n)
+
+    def test_numpy_integer_n_accepted(self):
+        assert TimeGrid(0.0, 0.1, np.int64(4)).times().shape == (4,)
+
 
 class TestEnvelopeValues:
     # the eight well-known power laws: p -> F(j) per quadrature
@@ -112,6 +120,27 @@ class TestEnvelopeValues:
             envelope_values(spec)
         # the accessor passes the table through untouched
         assert np.array_equal(spec.envelope_table(), [1.0, 0.5])
+
+
+class TestToothAmplitudes:
+    # a_j = alpha*omega0*j*F(j) = alpha*omega0*j^(p/2) (dephasing), alpha*j^(p/2) (amplitude)
+    @pytest.mark.parametrize("p", [-2.0, -1.0, 0.0, 1.0, 2.5])
+    def test_power_law(self, p):
+        j = np.arange(1, 10, dtype=float)
+        deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.3, omega0=2.5,
+                         teeth=9, p=p)
+        amp = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.3, omega0=2.5,
+                        teeth=9, p=p)
+        assert deph.tooth_amplitudes() == pytest.approx(0.3 * 2.5 * j ** (p / 2), rel=1e-14)
+        assert amp.tooth_amplitudes() == pytest.approx(0.3 * j ** (p / 2), rel=1e-14)
+
+    def test_explicit_envelope(self):
+        deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.5, omega0=2.0,
+                         teeth=2, envelope=(1.0, -0.25))
+        amp = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.5, omega0=2.0,
+                        teeth=2, envelope=(1.0, -0.25))
+        assert np.array_equal(deph.tooth_amplitudes(), [1.0, -0.5])
+        assert np.array_equal(amp.tooth_amplitudes(), [0.5, -0.125])
 
 
 class TestDrawPhases:
@@ -149,17 +178,14 @@ class TestDrawPhases:
 class TestWaveforms:
     def test_zero_alpha_all_zero(self):
         grid = TimeGrid(0.0, 0.01, 64)
-        for build, spec in ((dephasing_phase_waveform, white_dephasing(alpha=0.0)),
-                            (detuning_waveform, white_dephasing(alpha=0.0)),
-                            (amplitude_waveform, white_amplitude(alpha=0.0))):
-            draw = draw_phases(spec, 0)
-            assert np.all(build(spec, draw, grid) == 0.0)
+        deph = realize(white_dephasing(alpha=0.0), grid, 0)
+        assert np.all(deph.beta == 0.0) and np.all(deph.phi_n == 0.0)
+        assert np.all(realize(white_amplitude(alpha=0.0), grid, 0).beta == 0.0)
 
     def test_single_tooth_phase_peak(self):
         # J=1, F(1)=1, psi=0: phi_N(pi/(2 omega0)) = alpha
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.3, omega0=2.0,
                          teeth=1, envelope=(1.0,))
-        from bathforge.noise import phase_waveform_at
         out = phase_waveform_at(spec, np.zeros(1), np.array([math.pi / 4.0]))
         assert out[0] == pytest.approx(0.3, rel=1e-15)
 
@@ -167,21 +193,18 @@ class TestWaveforms:
         # white dephasing, psi = (0, 0), alpha = 0.1, omega0 = 1, t = 1
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.1, omega0=1.0,
                          teeth=2, p=0)
-        from bathforge.noise import phase_waveform_at
         out = phase_waveform_at(spec, np.zeros(2), np.array([1.0]))
         assert out[0] == pytest.approx(0.1 * (math.sin(1) + 0.5 * math.sin(2)), rel=1e-14)
 
     def test_detuning_at_zero(self):
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.3, omega0=2.0,
                          teeth=1, envelope=(1.0,))
-        from bathforge.noise import detuning_waveform_at
         out = detuning_waveform_at(spec, np.zeros(1), np.array([0.0]))
         assert out[0] == pytest.approx(0.3 * 2.0, rel=1e-15)
 
     def test_amplitude_at_zero(self):
         spec = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.02, omega0=2.0,
                          teeth=1, envelope=(0.7,))
-        from bathforge.noise import amplitude_waveform_at
         out = amplitude_waveform_at(spec, np.zeros(1), np.array([0.0]))
         assert out[0] == pytest.approx(0.02 * 0.7, rel=1e-15)
 
@@ -189,23 +212,23 @@ class TestWaveforms:
         spec = white_dephasing(omega0=1.0, teeth=10)  # cutoff 10 rad/s
         coarse = TimeGrid(0.0, 1.0, 16)               # dt > pi/10
         with pytest.raises(NyquistError):
-            dephasing_phase_waveform(spec, draw_phases(spec, 0), coarse)
+            realize(spec, coarse, 0)
         with pytest.raises(NyquistError):
-            detuning_waveform(spec, draw_phases(spec, 0), coarse)
+            realize(white_amplitude(omega0=1.0, teeth=10), coarse, 0)
 
     def test_quadrature_mismatch(self):
         amp = white_amplitude()
-        grid = TimeGrid(0.0, 0.01, 8)
-        with pytest.raises(ValidationError):
-            dephasing_phase_waveform(amp, draw_phases(amp, 0), grid)
+        t = TimeGrid(0.0, 0.01, 8).times()
+        for build in (phase_waveform_at, detuning_waveform_at):
+            with pytest.raises(ValidationError):
+                build(amp, draw_phases(amp, 0).psi, t)
         deph = white_dephasing()
         with pytest.raises(ValidationError):
-            amplitude_waveform(deph, draw_phases(deph, 0), grid)
+            amplitude_waveform_at(deph, draw_phases(deph, 0).psi, t)
 
     def test_derivative_consistency(self):
         # central difference of phi_N reproduces beta_z to 1e-6 relative
         spec = white_dephasing(alpha=0.8, omega0=2.0, teeth=12, seed=5)
-        from bathforge.noise import detuning_waveform_at, phase_waveform_at
         psi = draw_phases(spec, 0).psi
         t = np.linspace(0.0, TWO_PI / spec.omega0, 200)
         h = 1e-6 * TWO_PI / spec.omega_cutoff
@@ -218,13 +241,13 @@ class TestWaveforms:
         spec = white_amplitude(alpha=0.2, teeth=8)  # alpha * sum|F| = 1.6
         grid = TimeGrid(0.0, 0.01, 16)
         with pytest.warns(AmplitudeRangeWarning):
-            amplitude_waveform(spec, draw_phases(spec, 0), grid)
+            realize(spec, grid, 0)
 
     def test_amplitude_variance_over_period(self):
         # white amplitude comb: variance over one period is alpha^2 * J / 2
         spec = white_amplitude(alpha=0.001, omega0=3.0, teeth=100, seed=2)
         grid = TimeGrid.periods_of(spec.omega0, 1, 4 * spec.teeth + 1)
-        beta = amplitude_waveform(spec, draw_phases(spec, 0), grid)
+        beta = realize(spec, grid, 0).beta
         expect = spec.alpha**2 * spec.teeth / 2.0
         assert np.mean(beta**2) == pytest.approx(expect, rel=1e-9)
 
@@ -267,7 +290,6 @@ class TestAnalyticOracles:
     def test_autocorrelation_monte_carlo(self):
         # ensemble average of beta(t) beta(t+tau) over 1e4 draws, 3 sigma
         spec = white_dephasing(alpha=0.5, omega0=2.0, teeth=5, seed=99)
-        from bathforge.noise import detuning_waveform_at
         psi = draw_phase_matrix(spec, range(10_000))
         t, tau = 0.37, 0.81
         vals = detuning_waveform_at(spec, psi, np.array([t, t + tau]))
@@ -290,6 +312,18 @@ class TestRealizationInvariants:
         real = realize(spec, grid, 0)
         assert np.mean(real.beta**2) == pytest.approx(
             analytic_autocorrelation(spec, 0.0), rel=1e-9)
+
+    def test_realize_samples_evaluators_on_grid(self):
+        grid = TimeGrid(0.1, 0.05, 32)
+        for spec in (white_dephasing(seed=4), white_amplitude(seed=4)):
+            real = realize(spec, grid, 2)
+            psi, t = draw_phases(spec, 2).psi, grid.times()
+            if spec.quadrature is Quadrature.DEPHASING:
+                assert np.array_equal(real.beta, detuning_waveform_at(spec, psi, t))
+                assert np.array_equal(real.phi_n, phase_waveform_at(spec, psi, t))
+            else:
+                assert np.array_equal(real.beta, amplitude_waveform_at(spec, psi, t))
+                assert real.phi_n is None
 
     def test_bit_identical_realizations(self):
         spec = white_dephasing(seed=21)

@@ -73,6 +73,13 @@ class TestPropagate:
             propagate(ket0(), HamiltonianSamples(
                 z_coeff=np.full(2, 10.0), rabi=np.zeros(2), phase=np.zeros(2)), dt=0.1)
 
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan, math.inf])
+    def test_bad_dt_rejected(self, dt):
+        samples = HamiltonianSamples(z_coeff=np.zeros(3), rabi=np.zeros(3),
+                                     phase=np.zeros(3))
+        with pytest.raises(ValidationError, match="dt"):
+            propagate(ket0(), samples, dt=dt)
+
     def test_batch_states(self):
         m = 40
         omega = 0.05 / 0.01
@@ -173,6 +180,18 @@ class TestRamsey:
         with pytest.raises(ValidationError):
             ramsey(amp_spec(0.1), fringe_detuning=1.0, pulse_rabi=1e4,
                    taus=[1e-3], n_realizations=2)
+
+    @pytest.mark.parametrize("pulse_rabi", [0.0, -6e4, math.nan, math.inf])
+    def test_bad_pulse_rabi_rejected(self, pulse_rabi):
+        with pytest.raises(ValidationError, match="pulse_rabi"):
+            ramsey(deph_spec(1.0), fringe_detuning=TWO_PI * 100.0,
+                   pulse_rabi=pulse_rabi, taus=[1e-3], n_realizations=2)
+
+    @pytest.mark.parametrize("taus", [[], [math.nan], [1e-3, math.inf], [-1e-3]])
+    def test_bad_taus_rejected(self, taus):
+        with pytest.raises(ValidationError, match="taus"):
+            ramsey(deph_spec(1.0), fringe_detuning=TWO_PI * 100.0,
+                   pulse_rabi=TWO_PI * 1e4, taus=taus, n_realizations=2)
 
     def test_pulse_ratio_reported(self):
         spec = deph_spec(0.0)
@@ -277,6 +296,24 @@ class TestRabi:
     def test_requires_amplitude_spec(self):
         with pytest.raises(ValidationError):
             rabi(deph_spec(0.1), drive_rabi=1.0, durations=[1e-3], n_realizations=1)
+
+    @pytest.mark.parametrize("drive_rabi", [0.0, -TWO_PI * 1e3, math.nan, math.inf])
+    def test_bad_drive_rabi_rejected(self, drive_rabi):
+        with pytest.raises(ValidationError, match="drive_rabi"):
+            rabi(amp_spec(0.03), drive_rabi=drive_rabi, durations=[1e-3],
+                 n_realizations=2)
+
+    @pytest.mark.parametrize("dt", [-1e-6, 0.0, math.nan, math.inf])
+    def test_bad_user_dt_rejected(self, dt):
+        with pytest.raises(ValidationError, match="dt"):
+            rabi(amp_spec(0.03), drive_rabi=TWO_PI * 1e3, durations=[1e-3],
+                 n_realizations=2, dt=dt)
+
+    @pytest.mark.parametrize("durations", [[], [math.nan], [1e-3, math.inf], [-1e-3]])
+    def test_bad_durations_rejected(self, durations):
+        with pytest.raises(ValidationError, match="durations"):
+            rabi(amp_spec(0.03), drive_rabi=TWO_PI * 1e3, durations=durations,
+                 n_realizations=2)
 
 
 class TestRecordExport:
