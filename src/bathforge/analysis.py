@@ -225,8 +225,6 @@ def alpha_scaling(base_spec: NoiseSpec, alphas: Sequence[float], *,
 
 def export_scan_csv(result: AlphaScanResult, path) -> None:
     """CSV of (alpha, t2, t2_err) plus a trailing exponent summary line."""
-    with open(path, "w") as fh:
-        fh.write("alpha,t2,t2_err\n")
-        for a, t, e in zip(result.alphas, result.t2, result.t2_err):
-            fh.write("%.17g,%.17g,%.17g\n" % (a, t, e))
-        fh.write(f"# exponent = {result.exponent:.6f} +- {result.exponent_err:.6f}\n")
+    np.savetxt(path, np.column_stack([result.alphas, result.t2, result.t2_err]),
+               fmt="%.17g", delimiter=",", comments="", header="alpha,t2,t2_err",
+               footer=f"# exponent = {result.exponent:.6f} +- {result.exponent_err:.6f}")

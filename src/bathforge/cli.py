@@ -1,12 +1,12 @@
 """Command-line interface: reproducible synthesis, simulation and verification runs.
 
-Every subcommand resolves its options from (in increasing precedence)
-built-in defaults, a ``--config`` key-value file, a ``--spec`` noise file
-(``spec.*`` keys), and individual flags.  Each run writes a manifest that
-records the fully resolved configuration plus output hashes; because
-manifest metadata lives under the tolerated ``manifest.`` namespace, the
-manifest file itself is a valid ``--config`` for the same subcommand and
-replays to byte-identical outputs.
+``main`` does every run's bookkeeping in one place: it resolves the options
+from (in increasing precedence) built-in defaults, a ``--config`` key-value
+file, a ``--spec`` noise file (``spec.*`` keys) and individual flags, runs
+the subcommand, and writes a manifest that records the fully resolved
+configuration plus output hashes.  Because manifest metadata lives under the
+tolerated ``manifest.`` namespace, the manifest file itself is a valid
+``--config`` for the same subcommand and replays to byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -33,14 +33,15 @@ from .waveform import (ControlProgram, Segment, compose, continuity_report,
 
 TWO_PI = 2.0 * math.pi
 
-_TABLES = {
-    "synth": {
+# command -> (help, {option: (type, default, help)})
+_COMMANDS = {
+    "synth": ("draw noise realizations and export CSV", {
         "realizations": (int, 1, "number of realizations to draw"),
         "periods": (int, 4, "record length in base periods"),
         "samples_per_period": (int, 0, "samples per base period (0 = auto)"),
         "out": (str, "synth", "output prefix"),
-    },
-    "export": {
+    }),
+    "export": ("compile a control program (+noise) to IQ files", {
         "rate": (float, None, "sample rate, Hz"),
         "bits": (int, 16, "quantization bit depth"),
         "format": (str, "csv", "csv | bin | both"),
@@ -48,15 +49,15 @@ _TABLES = {
         "jump_threshold": (float, 0.0, "flag inter-sample jumps above this (0 = off)"),
         "out": (str, "waveform", "output prefix"),
         "program": (str, None, "control program file"),
-    },
-    "verify-psd": {
+    }),
+    "verify-psd": ("empirical PSD of an ensemble vs the analytic comb", {
         "realizations": (int, 200, "ensemble size"),
         "periods": (int, 4, "record length in base periods"),
         "samples_per_period": (int, 0, "samples per base period (0 = auto)"),
         "carrier_power": (float, 0.0, "carrier power for a dBc column (0 = off)"),
         "out": (str, "psd", "output prefix"),
-    },
-    "simulate": {
+    }),
+    "simulate": ("Monte-Carlo Ramsey or Rabi experiment", {
         "realizations": (int, 500, "ensemble size"),
         "detuning_hz": (float, 1000.0, "Ramsey fringe detuning, Hz"),
         "pulse_rabi_hz": (float, 1.0e4, "pi/2 pulse Rabi rate, Hz"),
@@ -66,20 +67,20 @@ _TABLES = {
         "points": (int, 40, "sweep points"),
         "pulse_noise": (bool, True, "apply dephasing noise during pulses"),
         "out": (str, None, "output prefix"),
-    },
-    "predict": {
+    }),
+    "predict": ("analytic coherence prediction", {
         "tau_min": (float, 1e-4, "smallest tau, s"),
         "tau_max": (float, None, "largest tau, s"),
         "points": (int, 200, "grid points"),
         "out": (str, "chi", "output prefix"),
-    },
-    "scan-alpha": {
+    }),
+    "scan-alpha": ("T2 scaling study over noise strengths", {
         "alphas": (list, None, "comma-separated noise strengths"),
         "realizations": (int, 500, "ensemble size per alpha"),
         "pulse_rabi_hz": (float, 1.0e4, "pi/2 pulse Rabi rate, Hz"),
         "points": (int, 36, "tau points per alpha"),
         "out": (str, "scan", "output prefix"),
-    },
+    }),
 }
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -94,11 +95,22 @@ def _sha256_file(path) -> str:
     return h.hexdigest()[:16]
 
 
+def _read_text(path) -> str:
+    """An input file's text; a file that cannot be read is a config error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {path}: not a text file") from None
+
+
 class Options:
     """One subcommand's option table and the merged key-value state."""
 
     def __init__(self, command: str):
-        self.table = _TABLES[command]
+        self.table = _COMMANDS[command][1]
         self.values = {k: spec[1] for k, spec in self.table.items()}
 
     def merge_config(self, mapping: dict):
@@ -133,41 +145,23 @@ class Options:
         return val
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return parse_kv(fh.read())
-    return {}
-
-
-def _spec_sources(args, config_map: dict) -> dict:
-    """Collect spec.* keys, the --spec file, and spec flag overrides."""
-    spec_map = {k.split(".", 1)[1]: v for k, v in config_map.items()
-                if k.startswith("spec.")}
+def _resolve_spec(args, config: dict) -> NoiseSpec | None:
+    """The spec from spec.* config keys, then the --spec file, then spec flags."""
+    spec_map = {k.split(".", 1)[1]: v for k, v in config.items() if k.startswith("spec.")}
     for key in spec_map:
         if key not in SPEC_KEYS:
             raise ConfigError(f"unknown spec key 'spec.{key}'")
-    if getattr(args, "spec", None):
-        with open(args.spec) as fh:
-            spec_map.update(parse_kv(fh.read()))
+    if args.spec:
+        spec_map.update(parse_kv(_read_text(args.spec)))
     for key in SPEC_KEYS:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             spec_map[key] = str(val)
             if key == "p":
                 spec_map.pop("envelope", None)
             elif key == "envelope":
                 spec_map.pop("p", None)
-    return spec_map
-
-
-def _resolve_spec(args, config_map: dict, required: bool = True) -> NoiseSpec | None:
-    spec_map = _spec_sources(args, config_map)
-    if not spec_map:
-        if required:
-            raise ConfigError("no noise spec given (use --spec or spec.* keys)")
-        return None
-    return spec_from_mapping(spec_map)
+    return spec_from_mapping(spec_map) if spec_map else None
 
 
 def _write_manifest(path, command: str, opts: Options, spec: NoiseSpec | None,
@@ -196,23 +190,29 @@ def _write_manifest(path, command: str, opts: Options, spec: NoiseSpec | None,
 
 
 # ----------------------------------------------------------------- commands
+# Each command takes (args, opts, spec) and returns the paths it wrote.
 
-def cmd_synth(args) -> int:
-    opts = Options("synth")
-    cfg = _load_config(args)
-    opts.merge_config(cfg)
-    opts.merge_flags(args)
-    spec = _resolve_spec(args, cfg)
+def _record_grid(opts: Options, spec: NoiseSpec) -> TimeGrid:
     spp = opts["samples_per_period"] or max(4 * spec.teeth + 1, 64)
-    grid = TimeGrid.periods_of(spec.omega0, opts["periods"], spp)
+    return TimeGrid.periods_of(spec.omega0, opts["periods"], spp)
+
+
+def _points(opts: Options) -> int:
+    n = opts["points"]
+    if n < 1:
+        raise ValidationError(f"points must be >= 1, got {n}")
+    return n
+
+
+def cmd_synth(args, opts: Options, spec: NoiseSpec) -> list:
+    grid = _record_grid(opts, spec)
     outputs = []
     for i in range(opts["realizations"]):
         path = f"{opts['out']}_{i:04d}.csv"
         export_realization_csv(realize(spec, grid, i), path)
         outputs.append(path)
-    _write_manifest(f"{opts['out']}.manifest", "synth", opts, spec, outputs)
     print(f"wrote {len(outputs)} realization(s), spec {spec.spec_hash()}")
-    return 0
+    return outputs
 
 
 def _load_program(path) -> ControlProgram:
@@ -221,34 +221,30 @@ def _load_program(path) -> ControlProgram:
     ``detuning_hz`` must be 0 for now: ``compose`` rejects detuned segments.
     """
     segs = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [p for p in line.replace(",", " ").split() if p]
-            if len(parts) not in (3, 4):
-                raise ConfigError(f"{path}:{ln}: expected 3 or 4 fields")
-            try:
-                dur, rabi_hz, phase = float(parts[0]), float(parts[1]), float(parts[2])
-                det_hz = float(parts[3]) if len(parts) == 4 else 0.0
-            except ValueError:
-                raise ConfigError(f"{path}:{ln}: non-numeric field")
-            segs.append(Segment(duration=dur, omega_c=TWO_PI * rabi_hz,
-                                phi_c=phase, detuning=TWO_PI * det_hz))
+    for ln, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [p for p in line.replace(",", " ").split() if p]
+        if len(parts) not in (3, 4):
+            raise ConfigError(f"{path}:{ln}: expected 3 or 4 fields")
+        try:
+            dur, rabi_hz, phase = float(parts[0]), float(parts[1]), float(parts[2])
+            det_hz = float(parts[3]) if len(parts) == 4 else 0.0
+        except ValueError:
+            raise ConfigError(f"{path}:{ln}: non-numeric field")
+        segs.append(Segment(duration=dur, omega_c=TWO_PI * rabi_hz,
+                            phi_c=phase, detuning=TWO_PI * det_hz))
     if not segs:
         raise ConfigError(f"{path}: no segments")
     return ControlProgram(tuple(segs))
 
 
-def cmd_export(args) -> int:
-    opts = Options("export")
-    cfg = _load_config(args)
-    opts.merge_config(cfg)
-    opts.merge_flags(args)
+def cmd_export(args, opts: Options, spec: NoiseSpec | None) -> list:
     program = _load_program(opts["program"])
     rate = opts["rate"]
-    spec = _resolve_spec(args, cfg, required=False)
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValidationError(f"rate must be finite and > 0, got {rate}")
     n = max(2, int(round(program.duration * rate)))
     grid = TimeGrid(t0=0.0, dt=1.0 / rate, n=n)
     deph = amp = None
@@ -262,7 +258,7 @@ def cmd_export(args) -> int:
             deph = real
         else:
             amp = real
-    omega, phi, _meta = compose(program, grid, dephasing=deph, amplitude=amp)
+    omega, phi = compose(program, grid, dephasing=deph, amplitude=amp)
     wave = to_iq(omega, phi, rate)
     report = continuity_report(wave, opts["jump_threshold"] or None)
     if report.flagged:
@@ -282,19 +278,12 @@ def cmd_export(args) -> int:
         export_binary(wave, path, header_path=f"{opts['out']}.hdr",
                       spec_hash=spec.spec_hash() if spec else "")
         outputs += [path, f"{opts['out']}.hdr"]
-    _write_manifest(f"{opts['out']}.manifest", "export", opts, spec, outputs)
     print(f"wrote {', '.join(outputs)}")
-    return 0
+    return outputs
 
 
-def cmd_verify_psd(args) -> int:
-    opts = Options("verify-psd")
-    cfg = _load_config(args)
-    opts.merge_config(cfg)
-    opts.merge_flags(args)
-    spec = _resolve_spec(args, cfg)
-    spp = opts["samples_per_period"] or max(4 * spec.teeth + 1, 64)
-    grid = TimeGrid.periods_of(spec.omega0, opts["periods"], spp)
+def cmd_verify_psd(args, opts: Options, spec: NoiseSpec) -> list:
+    grid = _record_grid(opts, spec)
     reals = [realize(spec, grid, i) for i in range(opts["realizations"])]
     est = estimate_psd(reals)
     path = f"{opts['out']}.csv"
@@ -308,20 +297,13 @@ def cmd_verify_psd(args) -> int:
               f"{100.0 * worst:.3f}%")
     else:
         print("all analytic weights are zero (alpha = 0)")
-    _write_manifest(f"{opts['out']}.manifest", "verify-psd", opts, spec, [path])
-    return 0
+    return [path]
 
 
-def cmd_simulate(args) -> int:
-    experiment = args.experiment
-    opts = Options("simulate")
-    cfg = _load_config(args)
-    opts.merge_config(cfg)
-    opts.merge_flags(args)
-    spec = _resolve_spec(args, cfg)
-    n = opts["points"]
+def cmd_simulate(args, opts: Options, spec: NoiseSpec) -> list:
+    n = _points(opts)
     tau_max = opts["tau_max"]
-    if experiment == "ramsey":
+    if args.variant == "ramsey":
         tau_min = opts["tau_min"] or tau_max / n
         taus = np.linspace(tau_min, tau_max, n)
         record = ramsey(spec, fringe_detuning=TWO_PI * opts["detuning_hz"],
@@ -332,49 +314,33 @@ def cmd_simulate(args) -> int:
         durations = np.linspace(0.0, tau_max, n)
         record = rabi(spec, drive_rabi=TWO_PI * opts["drive_rabi_hz"],
                       durations=durations, n_realizations=opts["realizations"])
-    out = opts.values["out"] or f"simulate_{experiment}"
-    path = f"{out}.csv"
+    opts.values["out"] = opts.values["out"] or f"simulate_{args.variant}"
+    path = f"{opts['out']}.csv"
     export_record_csv(record, path)
-    opts.values["out"] = out
-    _write_manifest(f"{out}.manifest", f"simulate {experiment}", opts, spec, [path])
     print(f"wrote {path} ({record.n_realizations} realizations)")
-    return 0
+    return [path]
 
 
-def cmd_predict(args) -> int:
-    opts = Options("predict")
-    cfg = _load_config(args)
-    opts.merge_config(cfg)
-    opts.merge_flags(args)
-    spec = _resolve_spec(args, cfg)
-    taus = np.linspace(opts["tau_min"], opts["tau_max"], opts["points"])
+def cmd_predict(args, opts: Options, spec: NoiseSpec) -> list:
+    taus = np.linspace(opts["tau_min"], opts["tau_max"], _points(opts))
     curve = coherence_curve(spec, taus)
     path = f"{opts['out']}.csv"
-    with open(path, "w") as fh:
-        fh.write(f"# regime = {curve.regime}\n")
-        fh.write("tau,chi,fidelity\n")
-        for t, x in zip(curve.tau, curve.chi):
-            fh.write("%.17g,%.17g,%.17g\n" % (t, x, fidelity_from_chi(x)))
-    _write_manifest(f"{opts['out']}.manifest", "predict chi", opts, spec, [path])
+    np.savetxt(path, np.column_stack([curve.tau, curve.chi, fidelity_from_chi(curve.chi)]),
+               fmt="%.17g", delimiter=",", comments="",
+               header=f"# regime = {curve.regime}\ntau,chi,fidelity")
     print(f"wrote {path} (regime: {curve.regime})")
-    return 0
+    return [path]
 
 
-def cmd_scan_alpha(args) -> int:
-    opts = Options("scan-alpha")
-    cfg = _load_config(args)
-    opts.merge_config(cfg)
-    opts.merge_flags(args)
-    spec = _resolve_spec(args, cfg)
+def cmd_scan_alpha(args, opts: Options, spec: NoiseSpec) -> list:
     result = alpha_scaling(spec, opts["alphas"],
                            n_realizations=opts["realizations"],
                            pulse_rabi=TWO_PI * opts["pulse_rabi_hz"],
-                           n_tau=opts["points"])
+                           n_tau=_points(opts))
     path = f"{opts['out']}.csv"
     export_scan_csv(result, path)
-    _write_manifest(f"{opts['out']}.manifest", "scan-alpha", opts, spec, [path])
     print(f"T2^-1 ~ alpha^x with x = {result.exponent:.3f} +- {result.exponent_err:.3f}")
-    return 0
+    return [path]
 
 
 # ------------------------------------------------------------------- parser
@@ -391,8 +357,8 @@ def _add_spec_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int)
 
 
-def _add_table_flags(p: argparse.ArgumentParser, command: str):
-    for key, (kind, _default, help_text) in _TABLES[command].items():
+def _add_table_flags(p: argparse.ArgumentParser, options: dict):
+    for key, (kind, _default, help_text) in options.items():
         flag = "--" + key.replace("_", "-")
         if kind is bool:
             group = p.add_mutually_exclusive_group()
@@ -413,36 +379,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Engineered noise-bath synthesis, waveform export and qubit simulation")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
     handlers = {
         "synth": cmd_synth, "export": cmd_export, "verify-psd": cmd_verify_psd,
         "simulate": cmd_simulate, "predict": cmd_predict, "scan-alpha": cmd_scan_alpha,
     }
-    helps = {
-        "synth": "draw noise realizations and export CSV",
-        "export": "compile a control program (+noise) to IQ files",
-        "verify-psd": "empirical PSD of an ensemble vs the analytic comb",
-        "simulate": "Monte-Carlo Ramsey or Rabi experiment",
-        "predict": "analytic coherence prediction",
-        "scan-alpha": "T2 scaling study over noise strengths",
-    }
-    for name, handler in handlers.items():
-        p = sub.add_parser(name, help=helps[name])
+    for name, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         if name == "simulate":
-            p.add_argument("experiment", choices=["ramsey", "rabi"])
+            p.add_argument("variant", metavar="experiment", choices=["ramsey", "rabi"],
+                           help="ramsey | rabi")
         elif name == "predict":
-            p.add_argument("quantity", choices=["chi"])
+            p.add_argument("variant", metavar="quantity", choices=["chi"], help="chi")
         _add_spec_flags(p)
-        _add_table_flags(p, name)
-        p.set_defaults(func=handler)
+        _add_table_flags(p, options)
+        p.set_defaults(func=handlers[name])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        opts = Options(args.command)
+        config = parse_kv(_read_text(args.config)) if args.config else {}
+        opts.merge_config(config)
+        opts.merge_flags(args)
+        spec = _resolve_spec(args, config)
+        if spec is None and args.command != "export":
+            raise ConfigError("no noise spec given (use --spec or spec.* keys)")
+        outputs = args.func(args, opts, spec)
+        label = f"{args.command} {args.variant}" if "variant" in args else args.command
+        _write_manifest(f"{opts['out']}.manifest", label, opts, spec, outputs)
+        return 0
     except BathforgeError as exc:
         print(f"error category={exc.category}: {exc}", file=sys.stderr)
         return {"config": 2, "validation": 3, "fit": 4}.get(exc.category, 5)

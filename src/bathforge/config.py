@@ -25,11 +25,9 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
-from .measurement import CountCalibration
 from .noise import NoiseSpec, Quadrature
 
 SPEC_KEYS = ("quadrature", "alpha", "omega0_hz", "teeth", "p", "envelope", "seed")
-CALIBRATION_KEYS = ("bright_mean", "dark_mean", "bright_std", "dark_std")
 
 
 def parse_kv(text: str) -> dict:
@@ -55,17 +53,11 @@ def serialize_kv(mapping: dict) -> str:
     return "".join(f"{k} = {v}\n" for k, v in mapping.items())
 
 
-def _reject_unknown(mapping: dict, allowed) -> None:
-    for key in mapping:
-        if key.startswith("manifest."):
-            continue
-        if key not in allowed:
-            raise ConfigError(f"unknown configuration key {key!r}")
-
-
 def spec_from_mapping(mapping: dict) -> NoiseSpec:
     """Build a NoiseSpec from parsed config keys (Hz -> rad/s here)."""
-    _reject_unknown(mapping, SPEC_KEYS)
+    for key in mapping:
+        if key not in SPEC_KEYS and not key.startswith("manifest."):
+            raise ConfigError(f"unknown configuration key {key!r}")
     try:
         quad = Quadrature(mapping["quadrature"].lower())
     except KeyError:
@@ -115,17 +107,3 @@ def mapping_from_spec(spec: NoiseSpec) -> dict:
         out["envelope"] = ", ".join(repr(v) for v in spec.envelope)
     out["seed"] = str(spec.seed)
     return out
-
-
-def calibration_from_mapping(mapping: dict) -> CountCalibration:
-    """Build a readout calibration from config keys."""
-    _reject_unknown(mapping, CALIBRATION_KEYS)
-    try:
-        return CountCalibration(bright_mean=float(mapping["bright_mean"]),
-                                dark_mean=float(mapping["dark_mean"]),
-                                bright_std=float(mapping["bright_std"]),
-                                dark_std=float(mapping["dark_std"]))
-    except KeyError as exc:
-        raise ConfigError(f"missing calibration key {exc.args[0]!r}")
-    except ValueError as exc:
-        raise ConfigError(f"bad calibration value: {exc}")

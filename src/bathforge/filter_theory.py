@@ -146,6 +146,8 @@ def predicted_t2(spec: NoiseSpec, tau_min: float | None = None,
 def coherence_curve(spec: NoiseSpec, tau: np.ndarray) -> CoherenceCurve:
     """chi over a grid, annotated linear/quadratic/mixed by simple heuristics."""
     tau = np.asarray(tau, dtype=float)
+    if tau.size == 0 or not np.all(np.isfinite(tau)):
+        raise ValidationError("tau must be a non-empty array of finite values")
     chi = chi_fid_comb(spec, tau)
     if spec.omega_cutoff * float(np.max(tau)) <= 0.5:
         regime = "quadratic"

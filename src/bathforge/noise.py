@@ -307,15 +307,11 @@ def analytic_autocorrelation(spec: NoiseSpec, tau) -> np.ndarray | float:
 
 def export_realization_csv(realization: NoiseRealization, path) -> None:
     """Write (t, beta[, phi_n]) rows with a header naming the spec hash."""
-    t = realization.grid.times()
-    cols = [t, realization.beta]
-    names = ["t", "beta"]
+    cols = [realization.grid.times(), realization.beta]
+    names = "t,beta"
     if realization.phi_n is not None:
         cols.append(realization.phi_n)
-        names.append("phi_n")
-    with open(path, "w") as fh:
-        fh.write(f"# bathforge realization spec={realization.spec.spec_hash()} "
-                 f"index={realization.draw.realization_index}\n")
-        fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        names += ",phi_n"
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", comments="",
+               header=f"# bathforge realization spec={realization.spec.spec_hash()} "
+                      f"index={realization.draw.realization_index}\n{names}")

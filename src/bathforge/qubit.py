@@ -309,13 +309,10 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
 def export_record_csv(record: ExperimentRecord, path) -> None:
     """CSV of (sweep value, mean, stderr[, visibility, visibility_err])."""
     cols = [record.sweep, record.mean, record.stderr]
-    names = ["sweep", "mean", "stderr"]
+    names = "sweep,mean,stderr"
     if record.visibility is not None:
         cols += [record.visibility, record.visibility_err]
-        names += ["visibility", "visibility_err"]
-    with open(path, "w") as fh:
-        fh.write(f"# bathforge {record.kind} spec={record.spec_hash} "
-                 f"n={record.n_realizations}\n")
-        fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        names += ",visibility,visibility_err"
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", comments="",
+               header=f"# bathforge {record.kind} spec={record.spec_hash} "
+                      f"n={record.n_realizations}\n{names}")

@@ -203,11 +203,10 @@ def fit_tooth_powerlaw(omega: np.ndarray, powers: np.ndarray) -> float:
 
 def export_psd_csv(estimate: PsdEstimate, path, carrier_power: float | None = None):
     """CSV of (omega, density[, dbc]) rows."""
-    with open(path, "w") as fh:
-        cols = "omega,density" + (",dbc" if carrier_power else "")
-        fh.write(cols + "\n")
-        for i in range(len(estimate.omega)):
-            row = [estimate.omega[i], estimate.density[i]]
-            if carrier_power:
-                row.append(to_dbc(float(estimate.density[i]), carrier_power))
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    cols = [estimate.omega, estimate.density]
+    names = "omega,density"
+    if carrier_power:
+        cols.append(to_dbc(estimate.density, carrier_power))
+        names += ",dbc"
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", comments="",
+               header=names)

@@ -4,8 +4,9 @@ A control program is an ordered list of segments with constant Rabi
 amplitude and drive phase.  Each segment also has a static detuning field
 that must be 0: the phase ramp it would add is not implemented, so
 ``compose`` rejects a nonzero value instead of ignoring it.  Composition
-samples the program on a grid, folds in up to one dephasing and one
-amplitude noise realization, and yields the polar pair (Omega(t), phi(t));
+samples the program on a grid, folds in up to one dephasing realization
+(added to the phase) and one amplitude realization (scaling the drive), and
+yields the polar pair (Omega(t), phi(t));
 ``to_iq`` converts to the Cartesian baseband pair I = Omega cos(phi),
 Q = Omega sin(phi) that a vector signal generator consumes.
 """
@@ -102,22 +103,16 @@ class IQWaveform:
 
 def compose(program: ControlProgram, grid: TimeGrid,
             dephasing: Optional[NoiseRealization] = None,
-            amplitude: Optional[NoiseRealization] = None,
-            amplitude_mode: str = "multiplicative",
-            omega_ref: Optional[float] = None):
-    """Sample the program with noise folded in; returns (Omega, phi, meta).
+            amplitude: Optional[NoiseRealization] = None):
+    """Sample the program with noise folded in; returns (Omega, phi).
 
     Dephasing noise adds its accumulated phase: phi = phi_C + phi_N.
-    Amplitude noise scales the drive, Omega = Omega_C (1 + beta), or adds to
-    it, Omega = Omega_C + Omega_ref * beta, depending on ``amplitude_mode``
-    (exactly one mode; ``omega_ref`` defaults to the largest segment
-    amplitude for the additive mode).  Noise realizations must be sampled on
-    the same grid used here.  A segment with a nonzero detuning is rejected.
+    Amplitude noise scales the drive: Omega = Omega_C (1 + beta).  Noise
+    realizations must be sampled on the same grid used here.  A segment with
+    a nonzero detuning is rejected.
     """
     if any(seg.detuning != 0 for seg in program.segments):
         raise ValidationError("segment detuning is not implemented; it must be 0")
-    if amplitude_mode not in ("multiplicative", "additive"):
-        raise ValidationError("amplitude_mode must be 'multiplicative' or 'additive'")
     t = grid.times()
     if grid.t0 < -1e-15 or grid.duration > program.duration * (1 + 1e-12):
         raise ValidationError("grid extends beyond the program duration")
@@ -130,23 +125,13 @@ def compose(program: ControlProgram, grid: TimeGrid,
         raise ValidationError("amplitude argument must carry an amplitude realization")
     bounds = program.boundaries()
     idx = np.clip(np.searchsorted(bounds, t, side="right") - 1, 0, len(program.segments) - 1)
-    om_c = np.array([s.omega_c for s in program.segments])[idx]
-    phi_c = np.array([s.phi_c for s in program.segments])[idx]
-    omega = om_c.astype(float)
-    phi = phi_c.astype(float)
+    omega = np.array([s.omega_c for s in program.segments], dtype=float)[idx]
+    phi = np.array([s.phi_c for s in program.segments], dtype=float)[idx]
     if dephasing is not None:
         phi = phi + dephasing.phi_n
     if amplitude is not None:
-        if amplitude_mode == "multiplicative":
-            omega = omega * (1.0 + amplitude.beta)
-        else:
-            if omega_ref is None:
-                omega_ref = max(s.omega_c for s in program.segments)
-            omega = omega + omega_ref * amplitude.beta
-    meta = {"amplitude_mode": amplitude_mode if amplitude is not None else None,
-            "dephasing_spec": dephasing.spec.spec_hash() if dephasing else None,
-            "amplitude_spec": amplitude.spec.spec_hash() if amplitude else None}
-    return omega, phi, meta
+        omega = omega * (1.0 + amplitude.beta)
+    return omega, phi
 
 
 def to_iq(omega: np.ndarray, phi: np.ndarray, sample_rate: float) -> IQWaveform:
@@ -230,13 +215,11 @@ def continuity_report(w: IQWaveform, threshold: Optional[float] = None) -> Conti
                             threshold=threshold, flagged=flagged)
 
 
-def export_csv(w: IQWaveform, path, t0: float = 0.0) -> None:
-    """CSV of (t, I, Q) rows."""
-    dt = 1.0 / w.sample_rate
-    with open(path, "w") as fh:
-        fh.write("t,i,q\n")
-        for k in range(len(w.i)):
-            fh.write("%.17g,%.17g,%.17g\n" % (t0 + k * dt, w.i[k], w.q[k]))
+def export_csv(w: IQWaveform, path) -> None:
+    """CSV of (t, I, Q) rows, t = k * dt with dt = 1 / sample_rate."""
+    t = np.arange(len(w.i)) * (1.0 / w.sample_rate)
+    np.savetxt(path, np.column_stack([t, w.i, w.q]), fmt="%.17g", delimiter=",",
+               comments="", header="t,i,q")
 
 
 def export_binary(w: IQWaveform, path, header_path=None, spec_hash: str = "") -> None:

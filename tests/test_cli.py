@@ -1,9 +1,11 @@
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bathforge.cli import main
+from bathforge.cli import build_parser, main
 from bathforge.config import (mapping_from_spec, parse_kv, serialize_kv,
                               spec_from_mapping)
 from bathforge.errors import ConfigError
@@ -63,18 +65,6 @@ class TestConfig:
                        .replace("teeth = 50", "teeth = 3")
         spec = spec_from_mapping(parse_kv(cfg))
         assert spec.envelope == (1.0, 0.5, 0.25)
-
-    def test_calibration_keys(self):
-        from bathforge.config import calibration_from_mapping
-        cal = calibration_from_mapping(parse_kv(
-            "bright_mean = 25\ndark_mean = 3\nbright_std = 6\ndark_std = 2\n"))
-        assert cal.bright_mean == 25.0 and cal.dark_std == 2.0
-        with pytest.raises(ConfigError):
-            calibration_from_mapping({"bright_mean": "25"})
-        with pytest.raises(ConfigError):
-            calibration_from_mapping({"bright_mean": "25", "dark_mean": "3",
-                                      "bright_std": "6", "dark_std": "2",
-                                      "bright_sd": "1"})
 
 
 class TestCliRuns:
@@ -218,3 +208,95 @@ class TestCliErrors:
     def test_missing_spec_exit_2(self, tmp_path):
         rc = main(["synth", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "ramsey", "--spec", "white.cfg", "--tau-max", "0.004", "--points", "0"],
+        ["export", "--program", "prog.txt", "--rate", "0"],
+        ["predict", "chi", "--spec", "white.cfg", "--tau-max", "0.01", "--points", "0"],
+        ["predict", "chi", "--spec", "white.cfg", "--tau-max", "nan"],
+    ], ids=["ramsey_points_0", "export_rate_0", "predict_points_0", "predict_tau_max_nan"])
+    def test_bad_numbers_exit_3(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "white.cfg").write_text(WHITE_CFG)
+        (tmp_path / "prog.txt").write_text("0.002 250 0\n")
+        rc = main(argv + ["--out", "x"])
+        assert rc == 3
+        assert "error category=validation" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("argv,missing", [
+        (["synth", "--spec", "nope.cfg"], "nope.cfg"),
+        (["synth", "--spec", "white.cfg", "--config", "run.cfg"], "run.cfg"),
+        (["export", "--program", "prog.txt", "--rate", "8000"], "prog.txt"),
+    ], ids=["spec", "config", "program"])
+    def test_unreadable_file_exit_2(self, tmp_path, monkeypatch, capsys, argv, missing):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "white.cfg").write_text(WHITE_CFG)
+        rc = main(argv + ["--out", "x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error category=config" in err and missing in err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_failure_after_an_output_writes_no_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "prog.txt").write_text("0.002 250 0\n")
+        rc = main(["export", "--program", "prog.txt", "--rate", "8000", "--format", "both",
+                   "--bits", "20", "--out", "wave"])
+        assert rc == 3
+        assert (tmp_path / "wave.csv").exists()
+        assert not (tmp_path / "wave.manifest").exists()
+
+
+class TestManifestReplay:
+    """Every subcommand's manifest replays, from another directory, to identical bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-psd", "--realizations", "4", "--periods", "1", "--carrier-power", "2",
+         "--out", "psd"],
+        ["predict", "chi", "--tau-min", "0.001", "--tau-max", "0.05", "--points", "20",
+         "--out", "chi"],
+        ["simulate", "ramsey", "--alpha", "3", "--tau-max", "0.004", "--points", "4",
+         "--realizations", "3"],
+        ["simulate", "rabi", "--quadrature", "amplitude", "--alpha", "0.01", "--teeth", "10",
+         "--drive-rabi-hz", "500", "--tau-max", "0.004", "--points", "5", "--realizations",
+         "3", "--out", "rabi"],
+        ["export", "--program", "prog.txt", "--rate", "8000", "--format", "both",
+         "--bits", "16", "--out", "wave"],
+    ], ids=["verify-psd", "predict_chi", "simulate_ramsey", "simulate_rabi", "export_both"])
+    def test_replay_byte_identical(self, tmp_path, monkeypatch, argv):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        inputs = {"white.cfg": WHITE_CFG, "prog.txt": "0.002 250 0\n0.004 0 0.5\n"}
+        for d in (first, replay):
+            d.mkdir()
+            (d / "prog.txt").write_text(inputs["prog.txt"])
+        (first / "white.cfg").write_text(WHITE_CFG)
+        label = argv[:2] if argv[0] in ("simulate", "predict") else argv[:1]
+        monkeypatch.chdir(first)
+        assert main(argv + ["--spec", "white.cfg"]) == 0
+        [manifest] = first.glob("*.manifest")
+        assert parse_kv(manifest.read_text())["manifest.command"] == " ".join(label)
+        monkeypatch.chdir(replay)
+        assert main(label + ["--config", str(manifest)]) == 0
+        written = sorted(p.name for p in first.iterdir() if p.name not in inputs)
+        assert sorted(p.name for p in replay.iterdir() if p.name not in inputs) == written
+        for name in written:
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def _readme_cli_lines():
+    """The ``bathforge ...`` lines of README's CLI quick start, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Quick start (CLI)", 1)[1].split("\n## ", 1)[0]
+    return [" ".join(line.split()) for line in section.replace("\\\n", " ").splitlines()
+            if line.startswith("bathforge ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_quick_start_parses(line):
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert callable(args.func)
+
+
+def test_readme_quick_start_found():
+    assert len(_readme_cli_lines()) >= 8

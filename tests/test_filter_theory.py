@@ -189,3 +189,9 @@ class TestCoherenceCurve:
         mixed = coherence_curve(spec, np.linspace(5e-3, 0.5, 80))
         assert mixed.regime == "mixed"
         assert np.all(lin.chi >= 0) and lin.chi[0] < lin.chi[-1]
+
+    @pytest.mark.parametrize("tau", [[], [1e-3, np.nan], [1e-3, np.inf]],
+                             ids=["empty", "nan", "inf"])
+    def test_empty_or_nonfinite_tau_rejected(self, tau):
+        with pytest.raises(ValidationError, match="tau"):
+            coherence_curve(deph(1.0, **PAPER_COMB), tau)

@@ -33,10 +33,9 @@ class TestCompose:
         omega = TWO_PI * 1e4
         prog = ControlProgram.pi_pulse(omega)
         grid = TimeGrid.from_span(0.0, prog.duration, 64)
-        om, phi, meta = compose(prog, grid)
+        om, phi = compose(prog, grid)
         assert np.all(om == omega)
         assert np.all(phi == 0.0)
-        assert meta["amplitude_mode"] is None
 
     def test_free_evolution_with_dephasing(self):
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.2, omega0=50.0,
@@ -44,7 +43,7 @@ class TestCompose:
         prog = ControlProgram.delay(0.5)
         grid = TimeGrid.from_span(0.0, 0.5, 256)
         real = realize(spec, grid, 0)
-        om, phi, _ = compose(prog, grid, dephasing=real)
+        om, phi = compose(prog, grid, dephasing=real)
         assert np.all(om == 0.0)
         assert np.array_equal(phi, real.phi_n)
 
@@ -62,20 +61,8 @@ class TestCompose:
         prog = ControlProgram((Segment(duration=0.5, omega_c=omega),))
         grid = TimeGrid.from_span(0.0, 0.5, 256)
         real = realize(spec, grid, 0)
-        om, _, meta = compose(prog, grid, amplitude=real)
+        om, _ = compose(prog, grid, amplitude=real)
         assert np.allclose(om / omega - 1.0, real.beta, rtol=0, atol=1e-15)
-        assert meta["amplitude_mode"] == "multiplicative"
-
-    def test_additive_amplitude(self):
-        spec = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.02, omega0=50.0,
-                         teeth=4, p=0, seed=3)
-        omega = TWO_PI * 500.0
-        prog = ControlProgram((Segment(duration=0.5, omega_c=omega),))
-        grid = TimeGrid.from_span(0.0, 0.5, 128)
-        real = realize(spec, grid, 0)
-        om, _, _ = compose(prog, grid, amplitude=real, amplitude_mode="additive",
-                           omega_ref=omega)
-        assert np.allclose(om, omega * (1.0 + real.beta), rtol=1e-15)
 
     def test_zero_noise_reproduces_program(self):
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.0, omega0=50.0,
@@ -84,8 +71,8 @@ class TestCompose:
                                Segment(duration=0.2, omega_c=0.5, phi_c=-0.1)))
         grid = TimeGrid.from_span(0.0, 0.3, 300)
         real = realize(spec, grid, 0)
-        om_ref, phi_ref, _ = compose(prog, grid)
-        om, phi, _ = compose(prog, grid, dephasing=real)
+        om_ref, phi_ref = compose(prog, grid)
+        om, phi = compose(prog, grid, dephasing=real)
         assert np.array_equal(om, om_ref)
         assert np.array_equal(phi, phi_ref)
 
@@ -93,7 +80,7 @@ class TestCompose:
         prog = ControlProgram((Segment(duration=0.1, omega_c=1.0),
                                Segment(duration=0.1, omega_c=2.0)))
         grid = TimeGrid.from_span(0.0, 0.2, 20)
-        om, _, _ = compose(prog, grid)
+        om, _ = compose(prog, grid)
         assert np.all(om[:10] == 1.0) and np.all(om[10:] == 2.0)
 
     def test_grid_mismatch_rejected(self):
@@ -200,7 +187,7 @@ class TestContinuity:
         grid = TimeGrid.periods_of(spec.omega0, 1, 512)
         real = realize(spec, grid, 0)
         prog = ControlProgram((Segment(duration=grid.duration, omega_c=1.0),))
-        om, phi, _ = compose(prog, grid, dephasing=real)
+        om, phi = compose(prog, grid, dephasing=real)
         rep = continuity_report(to_iq(om, phi, grid.sample_rate))
         amp_sum = spec.alpha * np.sum(spec.envelope_table())
         bound = amp_sum * spec.omega_cutoff * grid.dt
@@ -215,6 +202,13 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,i,q"
         assert len(lines) == 3
+
+    def test_csv_rows_exact(self, tmp_path):
+        w = to_iq(np.array([1.0, 0.5, 0.25]), np.array([0.0, 0.1, 2.0]), 3.0)
+        path = tmp_path / "wave.csv"
+        export_csv(w, path)
+        rows = ["%.17g,%.17g,%.17g" % (k * (1.0 / 3.0), w.i[k], w.q[k]) for k in range(3)]
+        assert path.read_text() == "t,i,q\n" + "\n".join(rows) + "\n"
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
