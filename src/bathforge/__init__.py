@@ -7,22 +7,21 @@ amplitude-noise Hamiltonians, and verify everything against analytic
 filter-function predictions and spectral oracles.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-from .errors import (AmplitudeRangeWarning, ApproximationWarning, BathforgeError,
-                     ConfigError, FitError, NyquistError, ValidationError)
+from .errors import (AmplitudeRangeWarning, BathforgeError, ConfigError, FitError,
+                     NyquistError, ValidationError)
 from .grid import TimeGrid
 from .noise import (AnalyticComb, NoiseRealization, NoiseSpec, PhaseDraw, Quadrature,
                     analytic_autocorrelation, analytic_psd, draw_phases,
                     envelope_values, realize)
 from .filter_theory import (CoherenceCurve, chi_fid_comb, chi_from_comb,
-                            chi_quadratic_limit, chi_white_analytic, coherence_curve,
-                            fid_filter, fidelity_from_chi, predicted_t2)
-from .spectral import (PsdEstimate, SidebandComb, am_sidebands, estimate_psd,
-                       fit_tooth_powerlaw, from_dbc, pm_sidebands, powerlaw_map_pm,
-                       to_dbc, tooth_weights)
+                            chi_white_analytic, coherence_curve, fid_filter,
+                            fidelity_from_chi, predicted_t2)
+from .spectral import (PsdEstimate, SidebandComb, estimate_psd, fit_tooth_powerlaw,
+                       pm_sidebands, powerlaw_map_pm, to_dbc, tooth_weights)
 from .waveform import (ControlProgram, ContinuityReport, IQWaveform, Segment,
-                       compose, continuity_report, quantize, to_iq, to_polar)
+                       compose, continuity_report, quantize, to_iq)
 from .qubit import (ExperimentRecord, HamiltonianSamples, ket0, population_1,
                     propagate, rabi, ramsey, rotate_z)
 from .measurement import (REFERENCE_CALIBRATION, CountCalibration, ThetaPosterior,

@@ -44,10 +44,23 @@ class DecayFit:
         return dict(zip(_PARAM_NAMES, err))
 
 
+def _envelope(model: str, t: np.ndarray, T: float) -> np.ndarray:
+    return np.exp(-((t / T) ** 2)) if model == "gaussian" else np.exp(-t / T)
+
+
 def _model_eval(model: str, t: np.ndarray, p: np.ndarray) -> np.ndarray:
     a, T, f, ph, c = p
-    env = np.exp(-((t / T) ** 2)) if model == "gaussian" else np.exp(-t / T)
-    return a * env * np.cos(f * t + ph) + c
+    return a * _envelope(model, t, T) * np.cos(f * t + ph) + c
+
+
+def _jacobian(model: str, t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """d(model)/d(amplitude, t_decay, frequency, phase, offset), shape (len(t), 5)."""
+    a, T, f, ph, _ = p
+    k = 2.0 if model == "gaussian" else 1.0
+    env = _envelope(model, t, T)
+    ec, es = env * np.cos(f * t + ph), env * np.sin(f * t + ph)
+    return np.column_stack([ec, a * ec * k * (t / T) ** k / T, -a * t * es, -a * es,
+                            np.ones_like(t)])
 
 
 def _initial_frequency(t: np.ndarray, y: np.ndarray) -> float:
@@ -76,13 +89,15 @@ def _initial_decay(t: np.ndarray, y: np.ndarray) -> float:
 
 
 def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
-    """Weighted least-squares fit of a decaying fringe to a record.
+    """Weighted separable least-squares fit of a decaying fringe to a record.
 
-    Uses deterministic multi-start Levenberg-style optimization: the
-    frequency seed comes from the FFT peak, the decay seed from the
-    rectified-signal envelope, and eight fixed jitters of (T, phase) guard
-    against the local minima fringe fits are prone to.  Weights are
-    1/stderr^2; all-zero stderr falls back to an unweighted fit and flags it.
+    The fringe is linear in (A cos phi0, A sin phi0, c) at fixed (T, delta),
+    so weighted linear least squares solves those inside the residual
+    (variable projection, Golub & Pereyra 1973) and the nonlinear search runs
+    over (T, delta) alone, from the FFT-peak frequency with the rectified-
+    envelope decay time and with 0.35 of it.  An amplitude above 1.05 or an
+    offset outside [-0.5, 1.5] raises FitError.  Weights are 1/stderr^2;
+    all-zero stderr falls back to an unweighted fit and flags it.
     """
     if model not in _MODELS:
         raise ValidationError(f"model must be one of {_MODELS}")
@@ -102,23 +117,26 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
         sigma = se
         weighted = True
 
+    def project(q):
+        """Basis [env cos(f t), -env sin(f t), 1] at (T, f) and its (u, v, c)."""
+        env = _envelope(model, t, q[0])
+        basis = np.column_stack([env * np.cos(q[1] * t), -env * np.sin(q[1] * t),
+                                 np.ones_like(t)])
+        coef, *_ = np.linalg.lstsq(basis / sigma[:, None], y / sigma, rcond=None)
+        return basis, coef
+
+    def resid(q):
+        basis, coef = project(q)
+        return (basis @ coef - y) / sigma
+
     f0 = _initial_frequency(t, y)
     T0 = _initial_decay(t, y)
-    a0 = min(max(2.0 * float(np.std(y)), 1e-3), 1.05)
-    c0 = float(np.mean(y))
-    lower = [0.0, 1e-12, 0.0, -2.0 * math.pi, -0.5]
-    upper = [1.05, np.inf, np.inf, 2.0 * math.pi, 1.5]
-    starts = [(T0 * ft, ph) for ft in (1.0, 0.35, 3.0)
-              for ph in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi)][:8]
-
-    def resid(p):
-        return (_model_eval(model, t, p) - y) / sigma
-
     best = None
-    for T_start, ph_start in starts:
-        p0 = np.clip([a0, T_start, f0, ph_start, c0], lower, upper)
+    for T_start in (T0, 0.35 * T0):
         try:
-            sol = least_squares(resid, p0, bounds=(lower, upper), method="trf")
+            sol = least_squares(resid, [T_start, f0], bounds=([1e-12, 0.0], np.inf),
+                                method="trf", x_scale="jac", ftol=1e-14, xtol=1e-14,
+                                gtol=1e-14)
         except ValueError:  # includes LinAlgError
             continue
         if not sol.success:
@@ -128,20 +146,24 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
     if best is None:
         raise FitError("fit did not converge from any start")
 
-    p = best.x
-    r = resid(p)
-    dof = max(len(t) - len(p), 1)
-    jtj = best.jac.T @ best.jac
+    u, v, c = project(best.x)[1]
+    p = np.array([math.hypot(u, v), best.x[0], best.x[1], math.atan2(v, u), c])
+    params = dict(zip(_PARAM_NAMES, (float(x) for x in p)))
+    for name, lo, hi in (("amplitude", 0.0, 1.05), ("offset", -0.5, 1.5)):
+        if not lo <= params[name] <= hi:
+            raise FitError(f"fitted {name} {params[name]:.3g} outside [{lo:g}, {hi:g}]")
+    fit_y = _model_eval(model, t, p)
+    r = (fit_y - y) / sigma
+    jac = _jacobian(model, t, p) / sigma[:, None]
+    jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj)
     if not weighted:
-        cov = cov * float(r @ r) / dof
-    fit_y = _model_eval(model, t, p)
+        cov = cov * float(r @ r) / max(len(t) - len(p), 1)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum((y - fit_y) ** 2)) / ss_tot if ss_tot > 0 else 0.0
-    params = dict(zip(_PARAM_NAMES, (float(v) for v in p)))
     if params["amplitude"] < 3.0 * math.sqrt(max(cov[0, 0], 0.0)) and params["amplitude"] < 0.05:
         raise FitError("fringe amplitude consistent with zero: decay time unidentifiable")
     return DecayFit(model=model, params=params, covariance=cov,

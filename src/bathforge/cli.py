@@ -205,6 +205,8 @@ def _points(opts: Options) -> int:
 
 
 def cmd_synth(args, opts: Options, spec: NoiseSpec) -> list:
+    if opts["realizations"] < 1:
+        raise ValidationError(f"realizations must be >= 1, got {opts['realizations']}")
     grid = _record_grid(opts, spec)
     outputs = []
     for i in range(opts["realizations"]):

@@ -31,7 +31,3 @@ class FitError(BathforgeError):
 
 class AmplitudeRangeWarning(UserWarning):
     """Fractional amplitude noise large enough to drive the field negative."""
-
-
-class ApproximationWarning(UserWarning):
-    """A requested closed-form approximation is outside its validity window."""

@@ -17,13 +17,12 @@ Ramsey pulses, the quantity the Monte-Carlo visibility actually measures.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ApproximationWarning, ValidationError
+from .errors import ValidationError
 from .noise import AnalyticComb, NoiseSpec, Quadrature, analytic_psd
 
 
@@ -81,25 +80,6 @@ def chi_white_analytic(alpha: float, tau) -> np.ndarray | float:
     return float(out) if np.ndim(tau) == 0 else out
 
 
-def chi_quadratic_limit(spec: NoiseSpec, tau) -> np.ndarray | float:
-    """Small-angle (quasi-static) limit of the comb sum.
-
-    Replaces sin^2(j omega0 tau/2) by its argument squared, giving
-    chi = C(0) * tau^2 / 2 with C(0) the comb variance; valid while the
-    highest tooth satisfies J*omega0*tau << 1.
-    """
-    if spec.quadrature is not Quadrature.DEPHASING:
-        raise ValidationError("chi_quadratic_limit requires a dephasing spec")
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    worst = spec.omega_cutoff * float(np.max(np.abs(tau_arr)))
-    if worst > 0.5:
-        warnings.warn(
-            f"J*omega0*tau = {worst:.3g} > 0.5: quadratic limit is not valid here",
-            ApproximationWarning, stacklevel=2)
-    out = 0.5 * analytic_psd(spec).variance() * tau_arr**2
-    return float(out[0]) if np.ndim(tau) == 0 else out
-
-
 def fidelity_from_chi(chi) -> np.ndarray | float:
     """First-order averaged operation fidelity F_av = (1 + exp(-chi)) / 2."""
     chi_arr = np.asarray(chi, dtype=float)
@@ -146,8 +126,8 @@ def predicted_t2(spec: NoiseSpec, tau_min: float | None = None,
 def coherence_curve(spec: NoiseSpec, tau: np.ndarray) -> CoherenceCurve:
     """chi over a grid, annotated linear/quadratic/mixed by simple heuristics."""
     tau = np.asarray(tau, dtype=float)
-    if tau.size == 0 or not np.all(np.isfinite(tau)):
-        raise ValidationError("tau must be a non-empty array of finite values")
+    if tau.size == 0 or not np.all(np.isfinite(tau)) or np.any(tau < 0):
+        raise ValidationError("tau must be a non-empty array of finite values >= 0")
     chi = chi_fid_comb(spec, tau)
     if spec.omega_cutoff * float(np.max(tau)) <= 0.5:
         regime = "quadratic"

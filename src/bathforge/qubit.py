@@ -188,6 +188,8 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         raise ValidationError("n_realizations must be >= 1")
     _require_positive("pulse_rabi", pulse_rabi)
     taus = _sweep("taus", taus)
+    if not math.isfinite(fringe_detuning):
+        raise ValidationError(f"fringe_detuning must be finite, got {fringe_detuning}")
     if fringe_detuning == 0:
         warnings.warn("fringe detuning of 0 makes the decay fit degenerate",
                       UserWarning, stacklevel=2)

@@ -110,23 +110,6 @@ def tooth_weights(estimate: PsdEstimate, spec: NoiseSpec) -> np.ndarray:
     return 2.0 * math.pi * estimate.density[nearest] * estimate.rbw
 
 
-def am_sidebands(carrier_amp: float, mod_amp: float, omega_m: float) -> SidebandComb:
-    """Sidebands of a single-tone AM carrier.
-
-    [A_mu + A_m sin(w_m t)] sin(w_mu t) splits into the carrier plus two
-    sidebands of magnitude A_m/2 at +-w_m; the upper sideband enters with
-    opposite sign, which is recorded in the amplitude signs.
-    """
-    if carrier_amp <= 0:
-        raise ValidationError("carrier amplitude must be positive")
-    if mod_amp == 0:
-        return SidebandComb(offsets=np.array([]), amplitudes=np.array([]),
-                            truncation_order=1)
-    return SidebandComb(offsets=np.array([-omega_m, omega_m]),
-                        amplitudes=np.array([mod_amp / 2.0, -mod_amp / 2.0]),
-                        truncation_order=1)
-
-
 def pm_sidebands(carrier_amp: float, mod_depth: float, omega_m: float,
                  n_max: int) -> SidebandComb:
     """Bessel comb of a single-tone PM carrier, truncated at order n_max.
@@ -164,9 +147,7 @@ def powerlaw_map_pm(p: float, quadrature) -> float:
 def to_dbc(power, carrier_power: float, floor_dbc: float | None = None):
     """Convert power density (or tooth power) to dBc/Hz relative to a carrier.
 
-    Non-positive densities map to ``floor_dbc`` (default -200) and are left
-    untouched on inversion; the transform is otherwise invertible via
-    :func:`from_dbc`.
+    Non-positive densities map to ``floor_dbc`` (default -200).
     """
     if carrier_power <= 0:
         raise ValidationError("carrier power must be positive")
@@ -177,14 +158,6 @@ def to_dbc(power, carrier_power: float, floor_dbc: float | None = None):
     good = p > 0
     out[good] = 10.0 * np.log10(p[good] / carrier_power)
     return float(out) if np.ndim(power) == 0 else out
-
-
-def from_dbc(dbc, carrier_power: float):
-    """Inverse of :func:`to_dbc`."""
-    if carrier_power <= 0:
-        raise ValidationError("carrier power must be positive")
-    out = carrier_power * 10.0 ** (np.asarray(dbc, dtype=float) / 10.0)
-    return float(out) if np.ndim(dbc) == 0 else out
 
 
 def fit_tooth_powerlaw(omega: np.ndarray, powers: np.ndarray) -> float:

@@ -144,13 +144,6 @@ def to_iq(omega: np.ndarray, phi: np.ndarray, sample_rate: float) -> IQWaveform:
                       i=omega * np.cos(phi), q=omega * np.sin(phi))
 
 
-def to_polar(w: IQWaveform) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`to_iq`: (Omega, phi mod 2pi); phase is arbitrary where Omega = 0."""
-    omega = np.hypot(w.i, w.q)
-    phi = np.mod(np.arctan2(w.q, w.i), 2.0 * math.pi)
-    return omega, phi
-
-
 def quantize(w: IQWaveform, bits: int = 16,
              full_scale: Optional[float] = None) -> IQWaveform:
     """Symmetric mid-tread quantization to ``2**bits`` levels.

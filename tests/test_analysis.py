@@ -91,6 +91,45 @@ class TestFitDecay:
         with pytest.raises(FitError, match="did not converge"):
             fit_decay(synthetic_record())
 
+    @pytest.mark.parametrize("model", ["exponential", "gaussian"])
+    @pytest.mark.parametrize("param", ["amplitude", "offset"])
+    def test_out_of_range_fit_rejected(self, model, param):
+        if param == "amplitude":
+            # one bright point on a flat record: the fitted amplitude runs away
+            rec = ExperimentRecord(kind="ramsey", sweep=np.linspace(1e-3, 20e-3, 20),
+                                   mean=np.r_[1.0, np.full(19, 0.02)],
+                                   stderr=np.full(20, 1e-3), n_realizations=1,
+                                   spec_hash="x")
+        else:
+            rec = synthetic_record(model=model, T=8e-3, t_max=20e-3)
+            rec.mean = rec.mean + 1.5
+        with pytest.raises(FitError, match=param):
+            fit_decay(rec, model=model)
+
+    def test_two_starts_over_two_parameters(self, monkeypatch):
+        import bathforge.analysis
+
+        x0s = []
+        orig = bathforge.analysis.least_squares
+
+        def counting(fun, x0, *args, **kwargs):
+            x0s.append(np.asarray(x0))
+            return orig(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(bathforge.analysis, "least_squares", counting)
+        fit_decay(synthetic_record())
+        assert [x.shape for x in x0s] == [(2,), (2,)]
+
+    @pytest.mark.parametrize("model", ["exponential", "gaussian"])
+    def test_jacobian_matches_central_difference(self, model):
+        from bathforge.analysis import _jacobian, _model_eval
+        t = np.linspace(0.5e-3, 25e-3, 40)
+        p = np.array([0.4, 9e-3, TWO_PI * 800.0, 0.7, 0.45])
+        h = 1e-6 * np.abs(p)
+        fd = np.column_stack([(_model_eval(model, t, p + dp) - _model_eval(model, t, p - dp))
+                              / (2.0 * hk) for hk, dp in zip(h, np.diag(h))])
+        assert np.allclose(_jacobian(model, t, p), fd, rtol=1e-6, atol=1e-9)
+
     def test_param_errors_scale_with_noise(self):
         quiet = fit_decay(synthetic_record(noise=0.002, stderr=0.002, seed=1))
         loud = fit_decay(synthetic_record(noise=0.02, stderr=0.02, seed=1))

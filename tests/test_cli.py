@@ -214,7 +214,12 @@ class TestCliErrors:
         ["export", "--program", "prog.txt", "--rate", "0"],
         ["predict", "chi", "--spec", "white.cfg", "--tau-max", "0.01", "--points", "0"],
         ["predict", "chi", "--spec", "white.cfg", "--tau-max", "nan"],
-    ], ids=["ramsey_points_0", "export_rate_0", "predict_points_0", "predict_tau_max_nan"])
+        ["simulate", "ramsey", "--spec", "white.cfg", "--tau-max", "0.004", "--points", "3",
+         "--realizations", "2", "--detuning-hz", "nan"],
+        ["predict", "chi", "--spec", "white.cfg", "--tau-min", "-1", "--tau-max", "0.01"],
+        ["synth", "--spec", "white.cfg", "--realizations", "-1"],
+    ], ids=["ramsey_points_0", "export_rate_0", "predict_points_0", "predict_tau_max_nan",
+            "ramsey_detuning_nan", "predict_tau_min_negative", "synth_realizations_negative"])
     def test_bad_numbers_exit_3(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "white.cfg").write_text(WHITE_CFG)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bathforge import (ApproximationWarning, NoiseSpec, Quadrature, ValidationError,
-                       analytic_psd, chi_fid_comb, chi_from_comb, chi_quadratic_limit,
-                       chi_white_analytic, coherence_curve, fid_filter,
-                       fidelity_from_chi, predicted_t2)
+from bathforge import (NoiseSpec, Quadrature, ValidationError, analytic_psd,
+                       chi_fid_comb, chi_from_comb, chi_white_analytic,
+                       coherence_curve, fid_filter, fidelity_from_chi, predicted_t2)
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,30 +116,14 @@ class TestWhiteLimit:
 
 
 class TestQuadraticLimit:
-    def test_zero_tau(self):
-        assert chi_quadratic_limit(deph(1.0, **PAPER_COMB), 0.0) == 0.0
-
     def test_matches_full_sum_in_window(self):
+        # small-angle limit: sin^2(x) -> x^2 gives chi = C(0) tau^2 / 2 while
+        # the highest tooth satisfies J*omega0*tau << 1
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1.0, omega0=1.0,
                          teeth=10, p=0)
         tau = 0.1 / spec.omega_cutoff
-        ratio = chi_fid_comb(spec, tau) / chi_quadratic_limit(spec, tau)
-        assert ratio == pytest.approx(1.0, abs=0.01)
-
-    def test_alpha_scaling(self):
-        spec1 = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1.0, omega0=1.0,
-                          teeth=5, p=0)
-        spec2 = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=2.0, omega0=1.0,
-                          teeth=5, p=0)
-        tau = 0.01
-        assert chi_quadratic_limit(spec2, tau) == pytest.approx(
-            4.0 * chi_quadratic_limit(spec1, tau), rel=1e-14)
-
-    def test_warns_outside_window(self):
-        spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1.0, omega0=1.0,
-                         teeth=10, p=0)
-        with pytest.warns(ApproximationWarning):
-            chi_quadratic_limit(spec, 0.06)  # J*omega0*tau = 0.6
+        quadratic = 0.5 * analytic_psd(spec).variance() * tau**2
+        assert chi_fid_comb(spec, tau) / quadratic == pytest.approx(1.0, abs=0.01)
 
 
 class TestFidelity:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bathforge import (AmplitudeRangeWarning, NoiseSpec, NyquistError, Quadrature,
                        TimeGrid, ValidationError, analytic_autocorrelation,
@@ -160,6 +162,17 @@ class TestDrawPhases:
         _ = draw_phases(spec, 2)
         assert np.array_equal(draw_phases(spec, 5).psi, late)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           indices=st.lists(st.integers(0, 10**9), min_size=1, max_size=8, unique=True),
+           data=st.data())
+    def test_rows_independent_of_index_order(self, seed, indices, data):
+        spec = white_dephasing(teeth=5, seed=seed)
+        order = data.draw(st.permutations(indices))
+        rows = dict(zip(order, draw_phase_matrix(spec, order)))
+        for i, row in zip(indices, draw_phase_matrix(spec, indices)):
+            assert np.array_equal(rows[i], row)
+
     def test_range_and_length(self):
         spec = white_dephasing(teeth=40)
         psi = draw_phases(spec, 0).psi
@@ -236,6 +249,24 @@ class TestWaveforms:
               phase_waveform_at(spec, psi, t - h)) / (2 * h)
         beta = detuning_waveform_at(spec, psi, t)
         assert np.max(np.abs(fd - beta)) <= 1e-6 * np.max(np.abs(beta))
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(0.01, 10.0), omega0=st.floats(0.1, 1e3),
+           teeth=st.integers(1, 40), p=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2**32 - 1), start=st.floats(0.0, 1.0))
+    def test_beta_is_centred_difference_of_phi(self, alpha, omega0, teeth, p, seed, start):
+        # on a grid of 1e-4 of the highest tooth's period the centred
+        # difference errs by (omega_c dt)^2 / 6 ~ 7e-8 of that tooth's share
+        spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=alpha, omega0=omega0,
+                         teeth=teeth, p=p, seed=seed)
+        psi = draw_phases(spec, 0).psi
+        dt = 1e-4 * TWO_PI / spec.omega_cutoff
+        t = TimeGrid(start * TWO_PI / omega0, dt, 201).times()
+        phi = phase_waveform_at(spec, psi, t)
+        fd = (phi[2:] - phi[:-2]) / (2.0 * dt)
+        beta = detuning_waveform_at(spec, psi, t[1:-1])
+        scale = float(np.sum(np.abs(spec.tooth_amplitudes())))
+        assert np.max(np.abs(fd - beta)) <= 1e-6 * scale
 
     def test_amplitude_overdrive_warning(self):
         spec = white_amplitude(alpha=0.2, teeth=8)  # alpha * sum|F| = 1.6

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
 from bathforge import (NoiseSpec, Quadrature, TimeGrid, ValidationError,
-                       am_sidebands, analytic_autocorrelation, analytic_psd,
-                       estimate_psd, fit_tooth_powerlaw, from_dbc, pm_sidebands,
-                       powerlaw_map_pm, realize, to_dbc, tooth_weights)
+                       analytic_autocorrelation, analytic_psd, estimate_psd,
+                       fit_tooth_powerlaw, pm_sidebands, powerlaw_map_pm, realize,
+                       to_dbc, tooth_weights)
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,6 +34,22 @@ class TestEstimatePsd:
         est = estimate_psd(reals)
         var = float(np.mean(reals[0].beta**2))
         assert est.total_power() == pytest.approx(var, rel=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(quadrature=st.sampled_from(list(Quadrature)), p=st.floats(-2.0, 2.0),
+           teeth=st.integers(1, 30), periods=st.integers(1, 3),
+           extra=st.integers(-1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_total_power_is_sample_variance(self, quadrature, p, teeth, periods, extra,
+                                            seed):
+        # Parseval on whole base periods: the comb has zero mean there, so the
+        # two-sided integrated density is the record's variance; extra = -1
+        # puts the highest tooth on the Nyquist bin
+        spec = NoiseSpec(quadrature=quadrature, alpha=0.1 / teeth**2, omega0=2.0,
+                         teeth=teeth, p=p, seed=seed)
+        grid = TimeGrid.periods_of(spec.omega0, periods, 2 * teeth + 1 + extra)
+        real = realize(spec, grid, 0)
+        assert estimate_psd([real]).total_power() == pytest.approx(
+            float(np.var(real.beta)), rel=1e-9)
 
     def test_positive_half_is_half_variance(self):
         spec = make_spec(Quadrature.AMPLITUDE, p=0, alpha=0.01)
@@ -88,38 +106,6 @@ class TestEstimatePsd:
         est = estimate_psd(ensemble(spec, 50))
         assert est.total_power() == pytest.approx(
             analytic_autocorrelation(spec, 0.0), rel=0.05)
-
-
-class TestAmSidebands:
-    def test_no_modulation(self):
-        comb = am_sidebands(1.0, 0.0, 5.0)
-        assert len(comb.offsets) == 0
-
-    def test_amplitudes(self):
-        comb = am_sidebands(1.0, 0.2, 5.0)
-        assert np.array_equal(np.sort(comb.offsets), [-5.0, 5.0])
-        assert np.allclose(np.abs(comb.amplitudes), 0.1)
-        # opposite signs recorded for the two sidebands
-        assert comb.amplitudes[0] * comb.amplitudes[1] < 0
-
-    def test_requires_carrier(self):
-        with pytest.raises(ValidationError):
-            am_sidebands(0.0, 0.1, 5.0)
-
-    def test_fft_oracle(self):
-        # synthesized AM tone on an integer-period record: peak amplitudes
-        # match the carrier and A_m/2 sidebands within 1%
-        n = 4096
-        T = 1.0
-        t = np.arange(n) * (T / n)
-        f_mu, f_m = 40.0, 5.0
-        a_mu, a_m = 1.0, 0.3
-        s = (a_mu + a_m * np.sin(TWO_PI * f_m * t)) * np.sin(TWO_PI * f_mu * t)
-        amp = 2.0 * np.abs(np.fft.rfft(s)) / n
-        sb = am_sidebands(a_mu, a_m, TWO_PI * f_m)
-        assert amp[40] == pytest.approx(a_mu, rel=0.01)
-        assert amp[35] == pytest.approx(abs(sb.amplitudes[0]), rel=0.01)
-        assert amp[45] == pytest.approx(abs(sb.amplitudes[1]), rel=0.01)
 
 
 class TestPmSidebands:
@@ -194,7 +180,7 @@ class TestDbc:
 
     def test_round_trip(self):
         vals = np.array([1e-9, 2.5e-4, 0.1, 3.0])
-        back = from_dbc(to_dbc(vals, 2.0), 2.0)
+        back = 2.0 * 10.0 ** (to_dbc(vals, 2.0) / 10.0)
         assert np.allclose(back, vals, rtol=1e-12)
 
     def test_floor_for_nonpositive(self):

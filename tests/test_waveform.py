@@ -5,7 +5,7 @@ import pytest
 
 from bathforge import (ControlProgram, NoiseSpec, Quadrature, Segment, TimeGrid,
                        ValidationError, compose, continuity_report, quantize,
-                       realize, to_iq, to_polar)
+                       realize, to_iq)
 from bathforge.waveform import export_binary, export_csv, read_binary
 
 TWO_PI = 2.0 * math.pi
@@ -112,11 +112,10 @@ class TestIQ:
         rng = np.random.default_rng(0)
         om = rng.uniform(0.1, 2.0, 200)
         phi = rng.uniform(0.0, TWO_PI, 200)
-        om2, phi2 = to_polar(to_iq(om, phi, 1.0))
-        assert np.allclose(om2, om, rtol=1e-12)
-        assert np.allclose(np.mod(phi2 - phi, TWO_PI), 0.0, atol=1e-10) or \
-            np.allclose(np.minimum(np.mod(phi2 - phi, TWO_PI),
-                                   TWO_PI - np.mod(phi2 - phi, TWO_PI)), 0.0, atol=1e-10)
+        w = to_iq(om, phi, 1.0)
+        assert np.allclose(np.hypot(w.i, w.q), om, rtol=1e-12)
+        dphi = np.mod(np.arctan2(w.q, w.i) - phi, TWO_PI)
+        assert np.allclose(np.minimum(dphi, TWO_PI - dphi), 0.0, atol=1e-10)
 
     def test_magnitude_identity(self):
         rng = np.random.default_rng(1)
