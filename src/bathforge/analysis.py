@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +16,8 @@ from .qubit import ExperimentRecord, ramsey
 
 _MODELS = ("exponential", "gaussian")
 _PARAM_NAMES = ("amplitude", "t_decay", "frequency", "phase", "offset")
+_TAU_SPAN_T2 = 2.5     # alpha_scaling's tau window, in predicted T2
+_FRINGE_PERIODS = 4.0  # alpha_scaling's fringe oscillations across that window
 
 
 @dataclass
@@ -29,10 +31,8 @@ class DecayFit:
     model: str
     params: dict
     covariance: np.ndarray
-    residual_norm: float
     r_squared: float
     weighted: bool
-    flags: list = field(default_factory=list)
 
     @property
     def t2(self) -> float:
@@ -96,21 +96,22 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
     (variable projection, Golub & Pereyra 1973) and the nonlinear search runs
     over (T, delta) alone, from the FFT-peak frequency with the rectified-
     envelope decay time and with 0.35 of it.  An amplitude above 1.05 or an
-    offset outside [-0.5, 1.5] raises FitError.  Weights are 1/stderr^2;
-    all-zero stderr falls back to an unweighted fit and flags it.
+    offset outside [-0.5, 1.5] raises FitError.  Weights are 1/stderr^2; any
+    non-positive stderr falls back to an unweighted fit, with ``weighted``
+    False.  A sweep that decreases anywhere raises ValidationError.
     """
     if model not in _MODELS:
         raise ValidationError(f"model must be one of {_MODELS}")
     t = np.asarray(record.sweep, dtype=float)
     y = np.asarray(record.mean, dtype=float)
     se = np.asarray(record.stderr, dtype=float)
+    if np.any(np.diff(t) < 0):
+        raise ValidationError("record sweep must be non-decreasing to fit a decay")
     if len(t) < 8:
         raise FitError("need at least 8 points to fit a decaying fringe")
     if float(np.ptp(y)) < 1e-12:
         raise FitError("constant signal: fringe amplitude ~ 0, decay time unidentifiable")
-    flags = []
     if np.any(se <= 0):
-        flags.append("unweighted: degenerate stderr")
         sigma = np.ones_like(y)
         weighted = False
     else:
@@ -166,9 +167,8 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
     r2 = 1.0 - float(np.sum((y - fit_y) ** 2)) / ss_tot if ss_tot > 0 else 0.0
     if params["amplitude"] < 3.0 * math.sqrt(max(cov[0, 0], 0.0)) and params["amplitude"] < 0.05:
         raise FitError("fringe amplitude consistent with zero: decay time unidentifiable")
-    return DecayFit(model=model, params=params, covariance=cov,
-                    residual_norm=float(np.linalg.norm(r)), r_squared=r2,
-                    weighted=weighted, flags=flags)
+    return DecayFit(model=model, params=params, covariance=cov, r_squared=r2,
+                    weighted=weighted)
 
 
 @dataclass
@@ -205,14 +205,14 @@ def fit_rate_exponent(alphas: np.ndarray, t2: np.ndarray,
 
 def alpha_scaling(base_spec: NoiseSpec, alphas: Sequence[float], *,
                   n_realizations: int = 500, pulse_rabi: float = 2.0 * math.pi * 1e4,
-                  n_tau: int = 36, tau_span_t2: float = 2.5,
-                  fringe_periods: float = 4.0) -> AlphaScanResult:
+                  n_tau: int = 36) -> AlphaScanResult:
     """Measure T2(alpha) by Monte-Carlo Ramsey plus exponential fits.
 
-    For each alpha the tau grid spans ``tau_span_t2`` predicted decay times
-    and the fringe detuning is set to put ``fringe_periods`` oscillations in
-    the window, so every fit sees both fringes and decay regardless of
-    scale.  A fit failure is re-raised with the alpha it occurred at.
+    For each alpha the tau grid spans ``_TAU_SPAN_T2`` = 2.5 predicted decay
+    times and the fringe detuning is set to put ``_FRINGE_PERIODS`` = 4
+    oscillations in the window, so every fit sees both fringes and decay
+    regardless of scale.  A fit failure is re-raised with the alpha it
+    occurred at.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     if len(alphas) < 4:
@@ -221,14 +221,10 @@ def alpha_scaling(base_spec: NoiseSpec, alphas: Sequence[float], *,
         raise ValidationError("alpha values must not all be equal")
     t2s, errs, records, fits = [], [], [], []
     for a in alphas:
-        spec = NoiseSpec(quadrature=base_spec.quadrature, alpha=float(a),
-                         omega0=base_spec.omega0, teeth=base_spec.teeth,
-                         p=base_spec.p, envelope=base_spec.envelope,
-                         seed=base_spec.seed)
-        t2_pred = predicted_t2(spec)
-        tau_max = tau_span_t2 * t2_pred
+        spec = replace(base_spec, alpha=float(a))
+        tau_max = _TAU_SPAN_T2 * predicted_t2(spec)
         taus = np.linspace(tau_max / n_tau, tau_max, n_tau)
-        detuning = 2.0 * math.pi * fringe_periods / tau_max
+        detuning = 2.0 * math.pi * _FRINGE_PERIODS / tau_max
         rec = ramsey(spec, fringe_detuning=detuning, pulse_rabi=pulse_rabi,
                      taus=taus, n_realizations=n_realizations)
         try:

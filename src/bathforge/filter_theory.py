@@ -46,9 +46,7 @@ def chi_from_comb(comb: AnalyticComb, filter_values: np.ndarray) -> np.ndarray |
     ``filter_values`` are the caller's filter function evaluated at the tooth
     frequencies, shape (..., J); the sum runs over the last axis.  With the
     FID filter this is :func:`chi_fid_comb`, since integrating delta teeth is
-    the discrete sum by construction.  The same entry point serves
-    amplitude-noise combs with a caller-supplied driven-evolution filter, for
-    which no closed form is claimed here.
+    the discrete sum by construction.
     """
     f = np.asarray(filter_values, dtype=float)
     if f.shape[-1:] != comb.omega.shape:
@@ -89,19 +87,18 @@ def fidelity_from_chi(chi) -> np.ndarray | float:
     return float(out) if np.ndim(chi) == 0 else out
 
 
-def predicted_t2(spec: NoiseSpec, tau_min: float | None = None,
-                 tau_max: float | None = None) -> float:
+def predicted_t2(spec: NoiseSpec) -> float:
     """1/e coherence time: the first crossing of chi(tau) = 1.
 
-    Scans the window geometrically for a bracket and polishes it with Brent's
-    method, so the result satisfies |chi(T2) - 1| < 1e-9 even though the comb
-    chi is oscillatory at long tau.  Raises ValidationError when chi never
-    reaches 1 in the window (alpha too small: the comb variance bounds chi).
+    The search window runs from 1e-9 periods of the highest tooth,
+    ``1e-9 * 2*pi / omega_cutoff``, to 1e4 base periods, ``1e4 * 2*pi / omega0``.
+    It is scanned geometrically for a bracket that Brent's method polishes,
+    so the result satisfies |chi(T2) - 1| < 1e-9 even though the comb chi is
+    oscillatory at long tau.  Raises ValidationError when chi never reaches 1
+    in the window (alpha too small: the comb variance bounds chi).
     """
-    if tau_min is None:
-        tau_min = 1e-9 * 2.0 * np.pi / spec.omega_cutoff
-    if tau_max is None:
-        tau_max = 1e4 * 2.0 * np.pi / spec.omega0
+    tau_min = 1e-9 * 2.0 * np.pi / spec.omega_cutoff
+    tau_max = 1e4 * 2.0 * np.pi / spec.omega0
     f = lambda t: chi_fid_comb(spec, t) - 1.0
     lo = tau_min
     if f(lo) >= 0:

@@ -37,24 +37,12 @@ class TimeGrid:
     def duration(self) -> float:
         return self.n * self.dt
 
-    @property
-    def sample_rate(self) -> float:
-        return 1.0 / self.dt
-
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 
     @classmethod
-    def from_span(cls, t0: float, t1: float, n: int) -> "TimeGrid":
-        """Grid of ``n`` samples covering [t0, t1) endpoint-exclusive."""
-        if t1 <= t0:
-            raise ValidationError("grid span must have t1 > t0")
-        return cls(t0=t0, dt=(t1 - t0) / n, n=n)
-
-    @classmethod
-    def periods_of(cls, omega0: float, k: int, samples_per_period: int,
-                   t0: float = 0.0) -> "TimeGrid":
-        """Grid covering exactly ``k`` base periods 2*pi/omega0.
+    def periods_of(cls, omega0: float, k: int, samples_per_period: int) -> "TimeGrid":
+        """Grid from t = 0 covering exactly ``k`` base periods 2*pi/omega0.
 
         Snapping records to whole periods keeps comb waveforms continuous
         across the record boundary and puts every tooth on an FFT bin.
@@ -65,4 +53,4 @@ class TimeGrid:
             raise ValidationError("need k >= 1 periods and >= 2 samples per period")
         period = 2.0 * math.pi / omega0
         n = k * samples_per_period
-        return cls(t0=t0, dt=k * period / n, n=n)
+        return cls(t0=0.0, dt=k * period / n, n=n)

@@ -81,19 +81,16 @@ def uniform_prior(n_points: int = THETA_GRID_POINTS) -> ThetaPosterior:
     return ThetaPosterior(theta=theta, density=np.full(n_points, 1.0 / math.pi))
 
 
-def simulate_counts(theta: float, calib: CountCalibration, rng,
-                    round_counts: bool = False) -> float:
-    """One Gaussian count draw at declination theta.
+def simulate_counts(theta: float, calib: CountCalibration, rng) -> float:
+    """One continuous Gaussian count draw at declination theta.
 
-    ``rng`` is a seed or a numpy Generator.  Counts are continuous by
-    default; ``round_counts`` rounds to integers for discreteness studies.
+    ``rng`` is a seed or a numpy Generator.
     """
     if not (0.0 <= theta <= math.pi):
         raise ValidationError("theta must lie in [0, pi]")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    c = rng.normal(float(calib.mean_at(theta)), float(calib.std_at(theta)))
-    return float(np.round(c)) if round_counts else float(c)
+    return float(rng.normal(float(calib.mean_at(theta)), float(calib.std_at(theta))))
 
 
 def bayes_update(prior: ThetaPosterior, count: float,

@@ -274,14 +274,13 @@ class AnalyticComb:
 
     ``weights[j]`` is the coefficient multiplying ``delta(omega - omega[j])``
     in the two-sided PSD; a mirror tooth of equal weight at ``-omega[j]`` is
-    implied by ``two_sided``.  With the transform pair
+    implied.  With the transform pair
     ``C(tau) = (1/2pi) int S(omega) e^{i omega tau} d omega`` each tooth pair
     contributes ``weights[j]/pi`` to the variance C(0).
     """
 
     omega: np.ndarray
     weights: np.ndarray
-    two_sided: bool = True
 
     def variance(self) -> float:
         """C(0) implied by the comb, i.e. sum of 2*w_j/(2*pi)."""

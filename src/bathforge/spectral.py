@@ -32,7 +32,6 @@ class PsdEstimate:
     omega: np.ndarray
     density: np.ndarray
     rbw: float
-    n_avg: int
     n_samples: int
 
     def total_power(self) -> float:
@@ -54,7 +53,6 @@ class SidebandComb:
 
     offsets: np.ndarray
     amplitudes: np.ndarray
-    truncation_order: int
 
     def __post_init__(self):
         if np.asarray(self.amplitudes).size and np.iscomplexobj(self.amplitudes):
@@ -87,8 +85,7 @@ def estimate_psd(realizations: Sequence[NoiseRealization]) -> PsdEstimate:
     # two-sided density: S_k = dt^2 |X_k|^2 / (2*pi*T); see module docstring
     dens = (grid.dt**2 / (2.0 * math.pi * T)) * np.mean(np.abs(X) ** 2, axis=0)
     omega = 2.0 * math.pi * np.fft.rfftfreq(n, grid.dt)
-    return PsdEstimate(omega=omega, density=dens, rbw=2.0 * math.pi / T,
-                       n_avg=len(realizations), n_samples=n)
+    return PsdEstimate(omega=omega, density=dens, rbw=2.0 * math.pi / T, n_samples=n)
 
 
 def tooth_weights(estimate: PsdEstimate, spec: NoiseSpec) -> np.ndarray:
@@ -126,7 +123,7 @@ def pm_sidebands(carrier_amp: float, mod_depth: float, omega_m: float,
     n = np.concatenate([-n_pos[:0:-1], n_pos])
     signs = (-1.0) ** n_pos[:0:-1]
     amps = np.concatenate([signs * amps_pos[:0:-1], amps_pos])
-    return SidebandComb(offsets=n * omega_m, amplitudes=amps, truncation_order=n_max)
+    return SidebandComb(offsets=n * omega_m, amplitudes=amps)
 
 
 def powerlaw_map_pm(p: float, quadrature) -> float:
@@ -144,17 +141,15 @@ def powerlaw_map_pm(p: float, quadrature) -> float:
     raise ValidationError(f"unknown quadrature {quadrature!r}")
 
 
-def to_dbc(power, carrier_power: float, floor_dbc: float | None = None):
+def to_dbc(power, carrier_power: float):
     """Convert power density (or tooth power) to dBc/Hz relative to a carrier.
 
-    Non-positive densities map to ``floor_dbc`` (default -200).
+    Non-positive densities map to a fixed floor of -200 dBc.
     """
     if carrier_power <= 0:
         raise ValidationError("carrier power must be positive")
-    if floor_dbc is None:
-        floor_dbc = -200.0
     p = np.asarray(power, dtype=float)
-    out = np.full(p.shape, floor_dbc)
+    out = np.full(p.shape, -200.0)
     good = p > 0
     out[good] = 10.0 * np.log10(p[good] / carrier_power)
     return float(out) if np.ndim(power) == 0 else out

@@ -34,8 +34,12 @@ class Segment:
     detuning: float = 0.0    # static detuning, rad/s; compose requires 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValidationError("segment durations must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValidationError(
+                f"segment durations must be finite and positive, got {self.duration}")
+        if not (math.isfinite(self.omega_c) and math.isfinite(self.phi_c)):
+            raise ValidationError(f"segment Rabi amplitude and phase must be finite, "
+                                  f"got {self.omega_c}, {self.phi_c}")
 
 
 @dataclass(frozen=True)
@@ -56,18 +60,6 @@ class ControlProgram:
 
     def boundaries(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
-
-    @staticmethod
-    def pi_pulse(omega: float, phi: float = 0.0) -> "ControlProgram":
-        return ControlProgram((Segment(duration=math.pi / omega, omega_c=omega, phi_c=phi),))
-
-    @staticmethod
-    def pi_half_pulse(omega: float, phi: float = 0.0) -> "ControlProgram":
-        return ControlProgram((Segment(duration=0.5 * math.pi / omega, omega_c=omega, phi_c=phi),))
-
-    @staticmethod
-    def delay(duration: float) -> "ControlProgram":
-        return ControlProgram((Segment(duration=duration),))
 
 
 @dataclass(frozen=True)
@@ -153,16 +145,19 @@ def quantize(w: IQWaveform, bits: int = 16,
     raise instead of clipping silently.  When ``full_scale`` is omitted it
     is chosen so the waveform peak maps exactly to the top code.  The
     injected error is at most half a step per sample; the resulting SNR is
-    reported on the quantized block.
+    reported on the quantized block.  ``bits`` is at most 16, the width of
+    the binary export format.
     """
-    if bits < 2 or bits > 32:
-        raise ValidationError("bits must be in [2, 32]")
+    if bits < 2 or bits > 16:
+        raise ValidationError(f"bits must be in [2, 16], got {bits}")
+    if not (np.all(np.isfinite(w.i)) and np.all(np.isfinite(w.q))):
+        raise ValidationError("IQ samples must be finite to quantize")
     levels = 2 ** (bits - 1)
     peak = float(max(np.max(np.abs(w.i), initial=0.0), np.max(np.abs(w.q), initial=0.0)))
     if full_scale is None:
         full_scale = peak * levels / (levels - 1) if peak > 0 else 1.0
-    if full_scale <= 0:
-        raise ValidationError("full scale must be positive")
+    if not (math.isfinite(full_scale) and full_scale > 0):
+        raise ValidationError(f"full scale must be finite and positive, got {full_scale}")
     step = full_scale / levels
     ci = np.round(w.i / step)
     cq = np.round(w.q / step)
@@ -171,11 +166,10 @@ def quantize(w: IQWaveform, bits: int = 16,
         raise ValidationError(
             f"samples exceed the representable range +-{top * step:g} "
             f"(full scale {full_scale:g}, {bits} bits); refusing to clip")
-    dtype = np.int16 if bits <= 16 else np.int32
     err = np.sum((w.i - ci * step) ** 2) + np.sum((w.q - cq * step) ** 2)
     sig = np.sum(w.i**2) + np.sum(w.q**2)
     snr_db = math.inf if err == 0 else 10.0 * math.log10(sig / err)
-    qz = QuantizedIQ(codes_i=ci.astype(dtype), codes_q=cq.astype(dtype),
+    qz = QuantizedIQ(codes_i=ci.astype(np.int16), codes_q=cq.astype(np.int16),
                      bits=bits, full_scale=float(full_scale), snr_db=snr_db)
     return IQWaveform(sample_rate=w.sample_rate, i=w.i, q=w.q, quantized=qz)
 
@@ -188,7 +182,6 @@ class ContinuityReport:
     max_jump_q: float
     boundary_jump_i: float
     boundary_jump_q: float
-    threshold: Optional[float]
     flagged: bool
 
 
@@ -204,8 +197,7 @@ def continuity_report(w: IQWaveform, threshold: Optional[float] = None) -> Conti
     bq = float(abs(w.q[-1] - w.q[0]))
     flagged = threshold is not None and max(ji, jq, bi, bq) > threshold
     return ContinuityReport(max_jump_i=ji, max_jump_q=jq,
-                            boundary_jump_i=bi, boundary_jump_q=bq,
-                            threshold=threshold, flagged=flagged)
+                            boundary_jump_i=bi, boundary_jump_q=bq, flagged=flagged)
 
 
 def export_csv(w: IQWaveform, path) -> None:
@@ -220,12 +212,10 @@ def export_binary(w: IQWaveform, path, header_path=None, spec_hash: str = "") ->
 
     The sidecar records everything needed to reconstruct physical units:
     sample rate, full scale, bit depth, sample count and the source spec
-    hash.  The waveform must already be quantized to at most 16 bits.
+    hash.  The waveform must already be quantized.
     """
     if w.quantized is None:
         raise ValidationError("quantize the waveform before binary export")
-    if w.quantized.bits > 16:
-        raise ValidationError("binary export supports at most 16-bit codes")
     inter = np.empty(2 * len(w.i), dtype="<i2")
     inter[0::2] = w.quantized.codes_i
     inter[1::2] = w.quantized.codes_q

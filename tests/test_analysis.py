@@ -56,7 +56,12 @@ class TestFitDecay:
         rec.stderr = np.zeros_like(rec.stderr)
         fit = fit_decay(rec)
         assert not fit.weighted
-        assert any("unweighted" in f for f in fit.flags)
+
+    def test_decreasing_sweep_rejected(self):
+        rec = synthetic_record()
+        rec.sweep, rec.mean, rec.stderr = rec.sweep[::-1], rec.mean[::-1], rec.stderr[::-1]
+        with pytest.raises(ValidationError, match="sweep"):
+            fit_decay(rec)
 
     def test_residuals_zero_mean(self):
         rec = synthetic_record(noise=0.005, stderr=0.005, seed=3)

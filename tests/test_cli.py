@@ -205,6 +205,17 @@ class TestCliErrors:
         assert rc == 3
         assert "detuning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["0.002 nan 0", "0.002 250 inf", "inf 250 0",
+                                      "nan 250 0"])
+    def test_nonfinite_program_exit_3(self, tmp_path, capsys, line):
+        prog = tmp_path / "prog.txt"
+        prog.write_text(line + "\n")
+        rc = main(["export", "--program", str(prog), "--rate", "8000", "--format", "both",
+                   "--out", str(tmp_path / "wave")])
+        assert rc == 3
+        assert "error category=validation" in capsys.readouterr().err
+        assert not list(tmp_path.glob("wave*"))
+
     def test_missing_spec_exit_2(self, tmp_path):
         rc = main(["synth", "--out", str(tmp_path / "x")])
         assert rc == 2

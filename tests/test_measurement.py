@@ -40,10 +40,6 @@ class TestSimulateCounts:
         expect = 0.5 * (CAL.bright_mean + CAL.dark_mean)
         assert abs(draws.mean() - expect) < 3 * sigma / math.sqrt(len(draws))
 
-    def test_rounding_flag(self):
-        c = simulate_counts(0.3, CAL, 7, round_counts=True)
-        assert c == int(c)
-
     def test_theta_bounds(self):
         with pytest.raises(ValidationError):
             simulate_counts(-0.1, CAL, 0)

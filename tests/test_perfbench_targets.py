@@ -1,12 +1,19 @@
-"""The traced benchmark wraps package functions by name; each must exist."""
+"""The traced benchmark wraps package functions by name and reads record
+metadata by key; each name and key must exist."""
 
 import importlib
 import importlib.util
+import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from bathforge import NoiseSpec, Quadrature, rabi, ramsey
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _targets():
@@ -19,3 +26,17 @@ def _targets():
 @pytest.mark.parametrize("modname,attr", [t[:2] for t in _targets()])
 def test_traced_target_resolves(modname, attr):
     assert callable(getattr(importlib.import_module(modname), attr, None))
+
+
+def test_meta_keys_read_by_perfbench_exist():
+    keys = {k for path in PERFBENCH.glob("*.py")
+            for k in re.findall(r'meta\["(\w+)"\]', path.read_text())}
+    assert keys
+    deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.1, omega0=50.0, teeth=3, p=0)
+    amp = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.01, omega0=50.0, teeth=3, p=0)
+    two_pi = 2.0 * math.pi
+    recorded = set(ramsey(deph, fringe_detuning=two_pi * 10.0, pulse_rabi=two_pi * 1e3,
+                          taus=np.array([1e-3, 2e-3]), n_realizations=2).meta)
+    recorded |= set(rabi(amp, drive_rabi=two_pi * 100.0, durations=np.array([0.0, 1e-3]),
+                         n_realizations=2).meta)
+    assert keys <= recorded, sorted(keys - recorded)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bathforge import (ControlProgram, NoiseSpec, Quadrature, Segment, TimeGrid,
-                       ValidationError, compose, continuity_report, quantize,
+from bathforge import (ControlProgram, IQWaveform, NoiseSpec, Quadrature, Segment,
+                       TimeGrid, ValidationError, compose, continuity_report, quantize,
                        realize, to_iq)
 from bathforge.waveform import export_binary, export_csv, read_binary
 
@@ -13,26 +13,23 @@ TWO_PI = 2.0 * math.pi
 
 class TestControlProgram:
     def test_segment_validation(self):
-        with pytest.raises(ValidationError):
-            Segment(duration=0.0)
+        for duration in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                Segment(duration=duration)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                Segment(duration=1.0, omega_c=bad)
+            with pytest.raises(ValidationError):
+                Segment(duration=1.0, phi_c=bad)
         with pytest.raises(ValidationError):
             ControlProgram(())
-
-    def test_pulse_areas(self):
-        omega = TWO_PI * 1e4
-        pi2 = ControlProgram.pi_half_pulse(omega)
-        assert pi2.segments[0].omega_c * pi2.segments[0].duration == pytest.approx(
-            math.pi / 2.0, rel=1e-15)
-        pi = ControlProgram.pi_pulse(omega)
-        assert pi.segments[0].omega_c * pi.segments[0].duration == pytest.approx(
-            math.pi, rel=1e-15)
 
 
 class TestCompose:
     def test_pi_pulse_no_noise(self):
         omega = TWO_PI * 1e4
-        prog = ControlProgram.pi_pulse(omega)
-        grid = TimeGrid.from_span(0.0, prog.duration, 64)
+        prog = ControlProgram((Segment(duration=math.pi / omega, omega_c=omega),))
+        grid = TimeGrid(0.0, prog.duration / 64, 64)
         om, phi = compose(prog, grid)
         assert np.all(om == omega)
         assert np.all(phi == 0.0)
@@ -40,8 +37,8 @@ class TestCompose:
     def test_free_evolution_with_dephasing(self):
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.2, omega0=50.0,
                          teeth=4, p=0, seed=3)
-        prog = ControlProgram.delay(0.5)
-        grid = TimeGrid.from_span(0.0, 0.5, 256)
+        prog = ControlProgram((Segment(duration=0.5),))
+        grid = TimeGrid(0.0, 0.5 / 256, 256)
         real = realize(spec, grid, 0)
         om, phi = compose(prog, grid, dephasing=real)
         assert np.all(om == 0.0)
@@ -52,14 +49,14 @@ class TestCompose:
         prog = ControlProgram((Segment(duration=0.5, omega_c=10.0),
                                Segment(duration=0.5, omega_c=10.0, detuning=detuning)))
         with pytest.raises(ValidationError, match="detuning"):
-            compose(prog, TimeGrid.from_span(0.0, 1.0, 64))
+            compose(prog, TimeGrid(0.0, 1.0 / 64, 64))
 
     def test_multiplicative_amplitude(self):
         spec = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.02, omega0=50.0,
                          teeth=4, p=0, seed=3)
         omega = TWO_PI * 500.0
         prog = ControlProgram((Segment(duration=0.5, omega_c=omega),))
-        grid = TimeGrid.from_span(0.0, 0.5, 256)
+        grid = TimeGrid(0.0, 0.5 / 256, 256)
         real = realize(spec, grid, 0)
         om, _ = compose(prog, grid, amplitude=real)
         assert np.allclose(om / omega - 1.0, real.beta, rtol=0, atol=1e-15)
@@ -69,7 +66,7 @@ class TestCompose:
                          teeth=4, p=0)
         prog = ControlProgram((Segment(duration=0.1, omega_c=1.0, phi_c=0.3),
                                Segment(duration=0.2, omega_c=0.5, phi_c=-0.1)))
-        grid = TimeGrid.from_span(0.0, 0.3, 300)
+        grid = TimeGrid(0.0, 0.3 / 300, 300)
         real = realize(spec, grid, 0)
         om_ref, phi_ref = compose(prog, grid)
         om, phi = compose(prog, grid, dephasing=real)
@@ -79,24 +76,24 @@ class TestCompose:
     def test_segment_boundaries(self):
         prog = ControlProgram((Segment(duration=0.1, omega_c=1.0),
                                Segment(duration=0.1, omega_c=2.0)))
-        grid = TimeGrid.from_span(0.0, 0.2, 20)
+        grid = TimeGrid(0.0, 0.2 / 20, 20)
         om, _ = compose(prog, grid)
         assert np.all(om[:10] == 1.0) and np.all(om[10:] == 2.0)
 
     def test_grid_mismatch_rejected(self):
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.1, omega0=50.0,
                          teeth=4, p=0)
-        prog = ControlProgram.delay(0.5)
-        grid = TimeGrid.from_span(0.0, 0.5, 256)
-        other = TimeGrid.from_span(0.0, 0.5, 128)
+        prog = ControlProgram((Segment(duration=0.5),))
+        grid = TimeGrid(0.0, 0.5 / 256, 256)
+        other = TimeGrid(0.0, 0.5 / 128, 128)
         with pytest.raises(ValidationError):
             compose(prog, grid, dephasing=realize(spec, other, 0))
 
     def test_wrong_quadrature_rejected(self):
         spec = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.1, omega0=50.0,
                          teeth=4, p=0)
-        prog = ControlProgram.delay(0.5)
-        grid = TimeGrid.from_span(0.0, 0.5, 128)
+        prog = ControlProgram((Segment(duration=0.5),))
+        grid = TimeGrid(0.0, 0.5 / 128, 128)
         real = realize(spec, grid, 0)
         with pytest.raises(ValidationError):
             compose(prog, grid, dephasing=real)
@@ -159,6 +156,19 @@ class TestQuantize:
         with pytest.raises(ValidationError):
             quantize(w, bits=16, full_scale=1.0)
 
+    @pytest.mark.parametrize("sample,full_scale", [(math.nan, 1.0), (-math.inf, 1.0),
+                                                   (0.5, math.nan), (0.5, math.inf)])
+    def test_nonfinite_rejected(self, sample, full_scale):
+        w = IQWaveform(sample_rate=1.0, i=np.array([sample, 0.5]), q=np.zeros(2))
+        with pytest.raises(ValidationError, match="finite"):
+            quantize(w, bits=16, full_scale=full_scale)
+
+    @pytest.mark.parametrize("bits", [1, 17, 32])
+    def test_bits_outside_2_to_16_rejected(self, bits):
+        w = to_iq(np.array([0.5]), np.zeros(1), 1.0)
+        with pytest.raises(ValidationError, match="bits"):
+            quantize(w, bits=bits, full_scale=1.0)
+
     def test_default_full_scale_fits_peak(self):
         w = to_iq(np.array([1.0, 0.25]), np.zeros(2), 1.0)
         q = quantize(w, bits=16).quantized
@@ -187,7 +197,7 @@ class TestContinuity:
         real = realize(spec, grid, 0)
         prog = ControlProgram((Segment(duration=grid.duration, omega_c=1.0),))
         om, phi = compose(prog, grid, dephasing=real)
-        rep = continuity_report(to_iq(om, phi, grid.sample_rate))
+        rep = continuity_report(to_iq(om, phi, 1.0 / grid.dt))
         amp_sum = spec.alpha * np.sum(spec.envelope_table())
         bound = amp_sum * spec.omega_cutoff * grid.dt
         assert max(rep.boundary_jump_i, rep.boundary_jump_q) < bound
