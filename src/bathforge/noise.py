@@ -4,7 +4,9 @@ A noise bath is a finite comb of J equally spaced sinusoids with random
 phases.  Every quantity downstream of a spec reads one table, the tooth
 amplitudes ``a_j`` (:meth:`NoiseSpec.tooth_amplitudes`) of the physical noise
 
-    beta(t) = sum_j a_j cos(j*omega0*t + psi_j),   j = 1..J,
+    beta(t) = sum_j a_j cos(j*omega0*t + psi_j) = Re sum_j a_j z_j e^{i j omega0 t},
+
+with ``j = 1..J`` and phasors ``z_j = e^{i psi_j}``:
 
 * dephasing quadrature: ``a_j = alpha*omega0*j*F(j)`` in rad/s.  ``beta`` is
   the instantaneous detuning ``beta_z = d(phi_N)/dt`` of the carrier phase
@@ -16,6 +18,11 @@ The envelope F(j) sets the power law of the PSD, whose delta teeth carry
 weight ``(pi/2) a_j**2``.  For ``S(j*omega0) ~ (j*omega0)**p`` the envelopes
 are ``F(j) = j**(p/2 - 1)`` (dephasing) and ``F(j) = j**(p/2)`` (amplitude),
 so ``a_j ~ j**(p/2)`` in both quadratures.
+
+The ``*_waveform_at`` evaluators take the phases ``psi`` or their phasors.
+The phase trig dominates when many draws are evaluated at few times, so a
+caller that evaluates one draw block more than once passes ``phasors(psi)``
+and pays for cos and sin of the block once.
 """
 
 from __future__ import annotations
@@ -195,22 +202,32 @@ def draw_phase_matrix(spec: NoiseSpec, indices: Sequence[int]) -> np.ndarray:
     return np.stack([draw_phases(spec, int(i)).psi for i in indices])
 
 
+def phasors(psi: np.ndarray) -> np.ndarray:
+    """Complex phasors ``z = e^{i psi}`` of a (J,) draw or an (n, J) block."""
+    psi = np.asarray(psi, dtype=float)
+    z = np.empty(psi.shape, dtype=complex)
+    np.cos(psi, out=z.real)
+    np.sin(psi, out=z.imag)
+    return z
+
+
 def _comb_eval(times: np.ndarray, omegas: np.ndarray, amps: np.ndarray,
-               psi: np.ndarray, kind: str) -> np.ndarray:
+               z: np.ndarray, kind: str) -> np.ndarray:
     """Evaluate ``sum_j amps[j] * trig(omegas[j]*t + psi[..., j])`` on ``times``.
 
-    ``psi`` may be (J,) for a single draw or (n, J) for a batch.  The
-    time-dependent factors are shared across the batch, so the batched case
-    reduces to two (n, J) @ (J, m) matrix products.
+    ``z`` holds the phasors ``e^{i psi}``, (J,) for a single draw or (n, J)
+    for a batch; real phases ``psi`` are converted here.  The time-dependent
+    factors are shared across the batch, so the batched case reduces to two
+    (n, J) @ (J, m) matrix products.
     """
+    z = z if np.iscomplexobj(z) else phasors(z)
     times = np.asarray(times, dtype=float)
     wt = times[None, :] * omegas[:, None]          # (J, m)
     sin_wt, cos_wt = np.sin(wt), np.cos(wt)
-    psi = np.asarray(psi, dtype=float)
-    single = psi.ndim == 1
-    psi2 = psi[None, :] if single else psi
-    a_cos = amps * np.cos(psi2)                    # (n, J)
-    a_sin = amps * np.sin(psi2)
+    single = z.ndim == 1
+    z2 = z[None, :] if single else z
+    a_cos = amps * z2.real                         # (n, J)
+    a_sin = amps * z2.imag
     if kind == "sin":
         # sin(wt + psi) = sin(wt) cos(psi) + cos(wt) sin(psi)
         out = a_cos @ sin_wt + a_sin @ cos_wt
@@ -259,13 +276,14 @@ def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRea
             f"grid dt={grid.dt:g} s exceeds the Nyquist limit pi/(J*omega0)={limit:g} s "
             f"for the highest comb tooth")
     draw = draw_phases(spec, realization_index)
+    z = phasors(draw.psi)
     t = grid.times()
     if spec.quadrature is Quadrature.DEPHASING:
         return NoiseRealization(spec=spec, draw=draw, grid=grid,
-                                beta=detuning_waveform_at(spec, draw.psi, t),
-                                phi_n=phase_waveform_at(spec, draw.psi, t))
+                                beta=detuning_waveform_at(spec, z, t),
+                                phi_n=phase_waveform_at(spec, z, t))
     return NoiseRealization(spec=spec, draw=draw, grid=grid,
-                            beta=amplitude_waveform_at(spec, draw.psi, t))
+                            beta=amplitude_waveform_at(spec, z, t))
 
 
 @dataclass(frozen=True)

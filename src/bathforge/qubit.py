@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .noise import (NoiseSpec, Quadrature, amplitude_waveform_at,
-                    detuning_waveform_at, draw_phase_matrix, phase_waveform_at)
+                    detuning_waveform_at, draw_phase_matrix, phase_waveform_at, phasors)
 
 _STEP_LIMIT = 0.05  # max rotation angle per piecewise-constant step, rad
 
@@ -207,19 +207,21 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
     se = np.empty(len(taus))
     vis = np.empty(len(taus))
     vis_se = np.empty(len(taus))
+    if freeze_phases:
+        z = phasors(draw_phase_matrix(spec, [0]))
     for it, tau in enumerate(taus):
-        if freeze_phases:
-            psi = draw_phase_matrix(spec, [0])
-        else:
-            base = it * n
-            psi = draw_phase_matrix(spec, range(base, base + n))
-        states = ket0(psi.shape[0])
+        if not freeze_phases:
+            # the three comb evaluations below share this block's phase trig;
+            # the previous block is released before this one is drawn
+            z = None
+            z = phasors(draw_phase_matrix(spec, range(it * n, (it + 1) * n)))
+        states = ket0(z.shape[0])
         if noisy_pulses:
-            beta = detuning_waveform_at(spec, psi, mids)  # (batch, m)
+            beta = detuning_waveform_at(spec, z, mids)  # (batch, m)
         _apply_pulse(states, beta, pulse_rabi, 0.0, fringe_detuning, dt)
         # free evolution is exact: integral of beta_z is a phi_N difference
         if spec.alpha > 0:
-            ends = phase_waveform_at(spec, psi, np.array([t_pulse, t_pulse + tau]))
+            ends = phase_waveform_at(spec, z, np.array([t_pulse, t_pulse + tau]))
             dphi = ends[..., 1] - ends[..., 0]
         else:
             dphi = 0.0
@@ -227,7 +229,7 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         states_y = states.copy()
         # one noise sample serves the 0 and 90 degree analysis pulses
         if noisy_pulses:
-            beta = detuning_waveform_at(spec, psi, (t_pulse + tau) + mids)
+            beta = detuning_waveform_at(spec, z, (t_pulse + tau) + mids)
         _apply_pulse(states, beta, pulse_rabi, 0.0, fringe_detuning, dt)
         _apply_pulse(states_y, beta, pulse_rabi, 0.5 * math.pi, fringe_detuning, dt)
         p_a = population_1(states)
@@ -250,11 +252,8 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         kind="ramsey", sweep=taus, mean=mean, stderr=se,
         n_realizations=n, spec_hash=spec.spec_hash(),
         visibility=vis, visibility_err=vis_se,
-        meta={"fringe_detuning": fringe_detuning, "pulse_rabi": pulse_rabi,
-              "pulse_duration": t_pulse,
-              "pulse_to_min_tau": t_pulse / float(np.min(taus[taus > 0]))
+        meta={"pulse_to_min_tau": t_pulse / float(np.min(taus[taus > 0]))
               if np.any(taus > 0) else math.inf,
-              "noise_during_pulses": noise_during_pulses,
               "freeze_phases": freeze_phases, "pulse_steps": n_steps})
 
 
@@ -285,11 +284,11 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     t_max = float(np.max(durations))
     n_steps = max(1, int(math.ceil(t_max / dt - 1e-12)))
     marks = np.clip(np.round(durations / dt).astype(int), 0, n_steps)
-    psi = draw_phase_matrix(spec, range(n_realizations))
+    z = phasors(draw_phase_matrix(spec, range(n_realizations)))
     states = ket0(n_realizations)
     mids = dt * (np.arange(n_steps) + 0.5)
     if spec.alpha > 0:
-        omega = drive_rabi * (1.0 + amplitude_waveform_at(spec, psi, mids))
+        omega = drive_rabi * (1.0 + amplitude_waveform_at(spec, z, mids))
     else:
         omega = np.full((1, n_steps), float(drive_rabi))
     pops = np.empty((n_realizations, len(durations)))
@@ -305,7 +304,7 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     return ExperimentRecord(
         kind="rabi", sweep=marks * dt, mean=mean, stderr=se,
         n_realizations=n_realizations, spec_hash=spec.spec_hash(),
-        meta={"drive_rabi": drive_rabi, "dt": dt, "n_steps": n_steps})
+        meta={"dt": dt, "n_steps": n_steps})
 
 
 def export_record_csv(record: ExperimentRecord, path) -> None:

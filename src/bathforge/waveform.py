@@ -89,8 +89,9 @@ class IQWaveform:
     def __post_init__(self):
         if len(self.i) != len(self.q):
             raise ValidationError("I and Q must have equal length")
-        if self.sample_rate <= 0:
-            raise ValidationError("sample rate must be positive")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValidationError(
+                f"sample rate must be finite and positive, got {self.sample_rate}")
 
 
 def compose(program: ControlProgram, grid: TimeGrid,
@@ -106,8 +107,8 @@ def compose(program: ControlProgram, grid: TimeGrid,
     if any(seg.detuning != 0 for seg in program.segments):
         raise ValidationError("segment detuning is not implemented; it must be 0")
     t = grid.times()
-    if grid.t0 < -1e-15 or grid.duration > program.duration * (1 + 1e-12):
-        raise ValidationError("grid extends beyond the program duration")
+    if grid.t0 < -1e-15 or grid.t0 + grid.duration > program.duration * (1 + 1e-12):
+        raise ValidationError("grid extends beyond the program's end")
     for real, name in ((dephasing, "dephasing"), (amplitude, "amplitude")):
         if real is not None and real.grid != grid:
             raise ValidationError(f"{name} noise grid does not match the sampling grid")

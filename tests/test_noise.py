@@ -10,7 +10,7 @@ from bathforge import (AmplitudeRangeWarning, NoiseSpec, NyquistError, Quadratur
                        analytic_psd, draw_phases, envelope_values, realize)
 from bathforge.noise import (amplitude_waveform_at, detuning_waveform_at,
                              draw_phase_matrix, export_realization_csv,
-                             phase_waveform_at)
+                             phase_waveform_at, phasors)
 
 TWO_PI = 2.0 * math.pi
 
@@ -327,6 +327,34 @@ class TestAnalyticOracles:
         prods = vals[:, 0] * vals[:, 1]
         se = prods.std(ddof=1) / math.sqrt(len(prods))
         assert abs(prods.mean() - analytic_autocorrelation(spec, tau)) < 3 * se
+
+
+def _draws(spec, rows):
+    """One (J,) draw when ``rows`` is None, else an (rows, J) block."""
+    if rows is None:
+        return draw_phases(spec, 0).psi
+    return draw_phase_matrix(spec, range(rows))
+
+
+class TestPhasors:
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_phasors_are_cos_and_sin(self, rows):
+        psi = _draws(white_dephasing(teeth=40, seed=9), rows)
+        z = phasors(psi)
+        assert z.shape == psi.shape and z.dtype == complex
+        assert np.array_equal(z.real, np.cos(psi))
+        assert np.array_equal(z.imag, np.sin(psi))
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_evaluators_bit_identical_on_phasors(self, rows):
+        t = np.linspace(0.0, 3.0, 37)
+        cases = ((white_dephasing(teeth=40, seed=9), (phase_waveform_at, detuning_waveform_at)),
+                 (white_amplitude(teeth=40, seed=9), (amplitude_waveform_at,)))
+        for spec, evaluators in cases:
+            psi = _draws(spec, rows)
+            z = phasors(psi)
+            for evaluate in evaluators:
+                assert np.array_equal(evaluate(spec, psi, t), evaluate(spec, z, t))
 
 
 class TestRealizationInvariants:

@@ -1,5 +1,6 @@
 """The traced benchmark wraps package functions by name and reads record
-metadata by key; each name and key must exist."""
+metadata by key; each name and key must exist, and a traced run must count
+the comb calls and draw rows it makes."""
 
 import importlib
 import importlib.util
@@ -10,20 +11,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bathforge import NoiseSpec, Quadrature, rabi, ramsey
+from bathforge import NoiseSpec, Quadrature, TimeGrid, noise, qubit, rabi, ramsey
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
-def _targets():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-@pytest.mark.parametrize("modname,attr", [t[:2] for t in _targets()])
+@pytest.mark.parametrize("modname,attr", [t[:2] for t in _spans().TARGETS])
 def test_traced_target_resolves(modname, attr):
     assert callable(getattr(importlib.import_module(modname), attr, None))
 
@@ -40,3 +41,30 @@ def test_meta_keys_read_by_perfbench_exist():
     recorded |= set(rabi(amp, drive_rabi=two_pi * 100.0, durations=np.array([0.0, 1e-3]),
                          n_realizations=2).meta)
     assert keys <= recorded, sorted(keys - recorded)
+
+
+def _traced_metrics(call):
+    """Run ``call`` with the benchmark's wrappers installed; its per-layer metrics."""
+    spans = _spans()
+    with spans.traced(spans.Tracer()) as tracer:
+        call()
+    return spans.layer_metrics(tracer, 0.0)
+
+
+def test_traced_layer_counts():
+    # the wrappers read the evaluators' positional (spec, psi or phasors, times)
+    # and the draw calls' indices, so a keyword call or a shapeless argument fails here
+    deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.1, omega0=50.0, teeth=3, p=0)
+    amp = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.01, omega0=50.0, teeth=3, p=0)
+    two_pi = 2.0 * math.pi
+    taus, n = [1e-3, 2e-3], 3
+    got = _traced_metrics(lambda: qubit.ramsey(
+        deph, fringe_detuning=two_pi * 10.0, pulse_rabi=two_pi * 1e3, taus=taus,
+        n_realizations=n))
+    assert got["noise.comb.calls"] == 3 * len(taus)
+    assert got["noise.draw.rows"] == len(taus) * n
+    got = _traced_metrics(lambda: qubit.rabi(
+        amp, drive_rabi=two_pi * 100.0, durations=[0.0, 1e-3], n_realizations=n))
+    assert (got["noise.comb.calls"], got["noise.draw.rows"]) == (1, n)
+    got = _traced_metrics(lambda: noise.realize(deph, TimeGrid(0.0, 1e-3, 8), 0))
+    assert (got["noise.comb.calls"], got["noise.draw.rows"]) == (2, 1)

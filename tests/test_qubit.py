@@ -7,6 +7,7 @@ from bathforge import (HamiltonianSamples, NoiseSpec, Quadrature, ValidationErro
                        chi_fid_comb, ket0, population_1, propagate, rabi, ramsey,
                        rotate_z)
 from bathforge.noise import draw_phases, phase_waveform_at
+from bathforge import qubit
 from bathforge.qubit import export_record_csv
 
 TWO_PI = 2.0 * math.pi
@@ -199,6 +200,47 @@ class TestRamsey:
                      taus=[5e-3], n_realizations=1)
         assert rec.meta["pulse_to_min_tau"] == pytest.approx(
             (0.25 / 1e4) / 5e-3, rel=1e-12)
+
+
+def count_phasors(monkeypatch, passthrough=False):
+    """Shapes of the blocks ``qubit`` turns into phasors, recorded per call.
+
+    With ``passthrough`` the real phases go to the evaluators unconverted.
+    """
+    shapes = []
+    real = qubit.phasors
+
+    def counting(psi):
+        shapes.append(np.shape(psi))
+        return psi if passthrough else real(psi)
+
+    monkeypatch.setattr(qubit, "phasors", counting)
+    return shapes
+
+
+class TestPhasorReuse:
+    RAMSEY = dict(fringe_detuning=TWO_PI * 500.0, pulse_rabi=TWO_PI * 1e4,
+                  taus=[1e-3, 2e-3, 3e-3], n_realizations=4)
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_ramsey_once_per_draw_block(self, monkeypatch, freeze):
+        shapes = count_phasors(monkeypatch)
+        ramsey(deph_spec(1.5, teeth=20, seed=7), freeze_phases=freeze, **self.RAMSEY)
+        assert shapes == ([(1, 20)] if freeze else [(4, 20)] * 3)
+
+    def test_rabi_once(self, monkeypatch):
+        shapes = count_phasors(monkeypatch)
+        rabi(amp_spec(0.02), drive_rabi=TWO_PI * 100.0, durations=[0.0, 1e-3, 2e-3],
+             n_realizations=3)
+        assert shapes == [(3, 20)]
+
+    def test_ramsey_bits_match_per_call_trig(self, monkeypatch):
+        spec = deph_spec(1.5, teeth=20, seed=7)
+        shared = ramsey(spec, **self.RAMSEY)
+        count_phasors(monkeypatch, passthrough=True)
+        per_call = ramsey(spec, **self.RAMSEY)
+        for name in ("mean", "stderr", "visibility", "visibility_err"):
+            assert getattr(shared, name).tobytes() == getattr(per_call, name).tobytes()
 
 
 def rabi_closed_form(spec, drive_rabi, times, psi):

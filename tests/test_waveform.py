@@ -89,6 +89,14 @@ class TestCompose:
         with pytest.raises(ValidationError):
             compose(prog, grid, dephasing=realize(spec, other, 0))
 
+    def test_grid_past_program_end_rejected(self):
+        # a grid starting late must still end inside the program
+        prog = ControlProgram((Segment(duration=0.5, omega_c=1.0),))
+        with pytest.raises(ValidationError, match="end"):
+            compose(prog, TimeGrid(0.4, 0.01, 50))
+        om, _ = compose(prog, TimeGrid(0.4, 0.01, 10))
+        assert np.all(om == 1.0)
+
     def test_wrong_quadrature_rejected(self):
         spec = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.1, omega0=50.0,
                          teeth=4, p=0)
@@ -113,6 +121,11 @@ class TestIQ:
         assert np.allclose(np.hypot(w.i, w.q), om, rtol=1e-12)
         dphi = np.mod(np.arctan2(w.q, w.i) - phi, TWO_PI)
         assert np.allclose(np.minimum(dphi, TWO_PI - dphi), 0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_sample_rate_rejected(self, rate):
+        with pytest.raises(ValidationError, match="sample rate"):
+            to_iq(np.ones(2), np.zeros(2), rate)
 
     def test_magnitude_identity(self):
         rng = np.random.default_rng(1)
