@@ -247,7 +247,11 @@ def cmd_export(args, opts: Options, spec: NoiseSpec | None) -> list:
     rate = opts["rate"]
     if not (math.isfinite(rate) and rate > 0):
         raise ValidationError(f"rate must be finite and > 0, got {rate}")
-    n = max(2, int(round(program.duration * rate)))
+    # whole samples only, with compose's tolerance: a partial last sample is dropped
+    n = math.floor(program.duration * rate * (1 + 1e-12))
+    if n < 1:
+        raise ValidationError(
+            f"program of {program.duration:g} s is shorter than one sample at {rate:g} Hz")
     grid = TimeGrid(t0=0.0, dt=1.0 / rate, n=n)
     deph = amp = None
     if spec is not None:

@@ -22,7 +22,10 @@ so ``a_j ~ j**(p/2)`` in both quadratures.
 The ``*_waveform_at`` evaluators take the phases ``psi`` or their phasors.
 The phase trig dominates when many draws are evaluated at few times, so a
 caller that evaluates one draw block more than once passes ``phasors(psi)``
-and pays for cos and sin of the block once.
+and pays for cos and sin of the block once.  On the time side every tooth is
+a harmonic of ``omega0``: the table ``e^{i j omega0 t}`` is built from one
+transform ``e^{i omega0 t}`` per sample by complex doubling, in blocks of
+1024 samples, and each block costs one complex matrix product.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .errors import AmplitudeRangeWarning, NyquistError, ValidationError
 from .grid import TimeGrid
 
 _MAX_SEED = 2**64 - 1
+# times per harmonic table in _comb_eval: (750, 1024) complex is 12 MB
+_TIME_BLOCK = 1024
 
 
 class Quadrature(enum.Enum):
@@ -211,48 +216,56 @@ def phasors(psi: np.ndarray) -> np.ndarray:
     return z
 
 
-def _comb_eval(times: np.ndarray, omegas: np.ndarray, amps: np.ndarray,
+def _harmonics(omega0: float, times: np.ndarray, teeth: int) -> np.ndarray:
+    """Complex (J, m) table whose row j-1 is ``e^{i j omega0 t}``.
+
+    Only row 0 takes a transform.  Doubling fills rows k..2k-1 as rows
+    0..k-1 times row k-1, so each entry is a product of at most
+    ceil(log2 J) rounded factors instead of the J of a running product.
+    """
+    h = np.empty((teeth, times.size), dtype=complex)
+    h[0] = phasors(omega0 * times)
+    k = 1
+    while k < teeth:
+        n = min(k, teeth - k)
+        np.multiply(h[:n], h[k - 1], out=h[k:k + n])
+        k += n
+    return h
+
+
+def _comb_eval(times: np.ndarray, omega0: float, amps: np.ndarray,
                z: np.ndarray, kind: str) -> np.ndarray:
-    """Evaluate ``sum_j amps[j] * trig(omegas[j]*t + psi[..., j])`` on ``times``.
+    """Evaluate ``sum_j amps[j] * trig(j*omega0*t + psi[..., j])`` on ``times``.
 
     ``z`` holds the phasors ``e^{i psi}``, (J,) for a single draw or (n, J)
-    for a batch; real phases ``psi`` are converted here.  The time-dependent
-    factors are shared across the batch, so the batched case reduces to two
-    (n, J) @ (J, m) matrix products.
+    for a batch; real phases ``psi`` are converted here.  The sum is the real
+    (``"cos"``) or imaginary (``"sin"``) part of ``(amps * z) @ harmonics``,
+    taken over blocks of ``_TIME_BLOCK`` times so the harmonic table stays
+    small.
     """
     z = z if np.iscomplexobj(z) else phasors(z)
     times = np.asarray(times, dtype=float)
-    wt = times[None, :] * omegas[:, None]          # (J, m)
-    sin_wt, cos_wt = np.sin(wt), np.cos(wt)
-    single = z.ndim == 1
-    z2 = z[None, :] if single else z
-    a_cos = amps * z2.real                         # (n, J)
-    a_sin = amps * z2.imag
-    if kind == "sin":
-        # sin(wt + psi) = sin(wt) cos(psi) + cos(wt) sin(psi)
-        out = a_cos @ sin_wt + a_sin @ cos_wt
-    elif kind == "cos":
-        # cos(wt + psi) = cos(wt) cos(psi) - sin(wt) sin(psi)
-        out = a_cos @ cos_wt - a_sin @ sin_wt
-    else:  # pragma: no cover
-        raise ValueError(kind)
-    return out[0] if single else out
+    c = amps * z
+    part = np.real if kind == "cos" else np.imag
+    out = np.empty(c.shape[:-1] + times.shape)
+    for start in range(0, times.size, _TIME_BLOCK):
+        block = slice(start, start + _TIME_BLOCK)
+        out[..., block] = part(c @ _harmonics(omega0, times[block], len(amps)))
+    return out
 
 
 def phase_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """phi_N evaluated at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("phase waveform is defined for dephasing specs only")
-    # alpha*F(j) = a_j/omega_j, kept in this form so phi_N stays bit-stable
-    F = spec.envelope_table()
-    return spec.alpha * _comb_eval(times, spec.tooth_frequencies(), F, psi, "sin")
+    return spec.alpha * _comb_eval(times, spec.omega0, spec.envelope_table(), psi, "sin")
 
 
 def detuning_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """beta_z = d(phi_N)/dt in rad/s at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("detuning waveform is defined for dephasing specs only")
-    return _comb_eval(times, spec.tooth_frequencies(), spec.tooth_amplitudes(), psi, "cos")
+    return _comb_eval(times, spec.omega0, spec.tooth_amplitudes(), psi, "cos")
 
 
 def amplitude_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -265,7 +278,7 @@ def amplitude_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -
         warnings.warn(
             f"sum_j |a_j| = {total:.3g} >= 1: the modulated field amplitude "
             "can go negative", AmplitudeRangeWarning, stacklevel=2)
-    return _comb_eval(times, spec.tooth_frequencies(), amps, psi, "cos")
+    return _comb_eval(times, spec.omega0, amps, psi, "cos")
 
 
 def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRealization:

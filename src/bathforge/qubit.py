@@ -176,7 +176,8 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
 
     Each (tau point, ensemble member) pair uses an independent phase draw,
     like repeated shots on hardware with a free-running noise source;
-    ``freeze_phases`` pins every shot to draw 0 for single-trajectory scans.
+    ``freeze_phases`` pins every shot to draw 0 for single-trajectory scans;
+    that one trajectory is simulated once, so its standard errors are 0.
 
     Besides the fringe populations the record carries a pointwise visibility,
     measured by repeating the final pulse with a 90 degree analysis phase and
@@ -234,18 +235,17 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         _apply_pulse(states_y, beta, pulse_rabi, 0.5 * math.pi, fringe_detuning, dt)
         p_a = population_1(states)
         p_b = population_1(states_y)
-        if freeze_phases:
-            p_a = np.repeat(p_a, n, axis=0)
-            p_b = np.repeat(p_b, n, axis=0)
+        # statistics over the rows simulated: one row when the phases are frozen
+        rows = len(p_a)
         mean[it] = p_a.mean()
-        se[it] = p_a.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        se[it] = p_a.std(ddof=1) / math.sqrt(rows) if rows > 1 else 0.0
         u = np.stack([2 * p_a - 1, 2 * p_b - 1], axis=1)
         u_mean = u.mean(axis=0)
         v = float(np.hypot(*u_mean))
         vis[it] = v
-        if v > 0 and n > 1:
+        if v > 0 and rows > 1:
             proj = u @ (u_mean / v)
-            vis_se[it] = proj.std(ddof=1) / math.sqrt(n)
+            vis_se[it] = proj.std(ddof=1) / math.sqrt(rows)
         else:
             vis_se[it] = 0.0
     return ExperimentRecord(

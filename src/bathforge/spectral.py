@@ -62,8 +62,9 @@ class SidebandComb:
 def estimate_psd(realizations: Sequence[NoiseRealization]) -> PsdEstimate:
     """Averaged rectangular-window periodogram of beta over an ensemble.
 
-    All realizations must share one uniform grid whose length is an integer
-    number of base periods 2*pi/omega0 (teeth on bins, zero leakage).
+    All realizations must share one spec and one uniform grid whose length
+    is an integer number of base periods 2*pi/omega0 (teeth on bins, zero
+    leakage).
     """
     if len(realizations) == 0:
         raise ValidationError("need at least one realization")
@@ -72,6 +73,8 @@ def estimate_psd(realizations: Sequence[NoiseRealization]) -> PsdEstimate:
     for r in realizations[1:]:
         if r.grid != grid:
             raise ValidationError("all realizations must share the same grid")
+        if r.spec != spec:
+            raise ValidationError("all realizations must share the same spec")
     periods = grid.duration * spec.omega0 / (2.0 * math.pi)
     if periods < 1.0 - 1e-9:
         raise ValidationError("record shorter than one base period")

@@ -135,6 +135,16 @@ class TestCliRuns:
         hdr = (tmp_path / "wave.hdr").read_text()
         assert "bits = 16" in hdr
 
+    @pytest.mark.parametrize("duration", ["0.0155", "0.0154"])
+    def test_export_drops_partial_last_sample(self, tmp_path, duration):
+        prog = tmp_path / "prog.txt"
+        prog.write_text(f"{duration} 250 0\n")
+        rc = main(["export", "--program", str(prog), "--rate", "1000",
+                   "--out", str(tmp_path / "wave")])
+        assert rc == 0
+        rows = (tmp_path / "wave.csv").read_text().splitlines()
+        assert rows[0] == "t,i,q" and len(rows) == 1 + 15
+
     def test_verify_psd(self, tmp_path, spec_file, capsys):
         out = str(tmp_path / "psd")
         rc = main(["verify-psd", "--spec", spec_file, "--realizations", "10",
@@ -204,6 +214,15 @@ class TestCliErrors:
                    "--out", str(tmp_path / "wave")])
         assert rc == 3
         assert "detuning" in capsys.readouterr().err
+
+    def test_program_shorter_than_one_sample_exit_3(self, tmp_path, capsys):
+        prog = tmp_path / "prog.txt"
+        prog.write_text("0.0005 250 0\n")
+        rc = main(["export", "--program", str(prog), "--rate", "1000",
+                   "--out", str(tmp_path / "wave")])
+        assert rc == 3
+        assert "shorter than one sample" in capsys.readouterr().err
+        assert not list(tmp_path.glob("wave*"))
 
     @pytest.mark.parametrize("line", ["0.002 nan 0", "0.002 250 inf", "inf 250 0",
                                       "nan 250 0"])

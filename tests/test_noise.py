@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bathforge import (AmplitudeRangeWarning, NoiseSpec, NyquistError, Quadrature,
                        TimeGrid, ValidationError, analytic_autocorrelation,
                        analytic_psd, draw_phases, envelope_values, realize)
+from bathforge import noise
 from bathforge.noise import (amplitude_waveform_at, detuning_waveform_at,
                              draw_phase_matrix, export_realization_csv,
                              phase_waveform_at, phasors)
@@ -355,6 +356,64 @@ class TestPhasors:
             z = phasors(psi)
             for evaluate in evaluators:
                 assert np.array_equal(evaluate(spec, psi, t), evaluate(spec, z, t))
+
+
+def _longdouble_comb(omega0, amps, psi, times, trig):
+    """Direct sum of ``amps[j] * trig(j*omega0*t + psi[..., j])`` in long double."""
+    t = times.astype(np.longdouble)
+    psi = np.asarray(psi, dtype=np.longdouble)
+    out = np.zeros(psi.shape[:-1] + t.shape, dtype=np.longdouble)
+    for j, a in enumerate(amps.astype(np.longdouble), start=1):
+        phase = (j * np.longdouble(omega0)) * t + psi[..., j - 1, None]
+        out += a * trig(phase)
+    return out
+
+
+class TestCombAgainstLongDouble:
+    """The three evaluators against an independent long-double direct sum.
+
+    J crosses the doubling boundaries of the harmonic table and m the block
+    boundary of the time side; the times are non-uniform within four base
+    periods.
+    """
+
+    @pytest.mark.parametrize("m", [1, 1023, 1024, 1025, 3001])
+    @pytest.mark.parametrize("teeth", [1, 2, 3, 4, 5, 8, 9, 750])
+    def test_within_1e12_of_amplitude_sum(self, teeth, m):
+        omega0 = TWO_PI * 50.0
+        times = np.random.default_rng(teeth * 10_000 + m).uniform(
+            0.0, 8.0 * math.pi / omega0, m)
+        deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1.3, omega0=omega0,
+                         teeth=teeth, p=-1.0, seed=teeth)
+        amp = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.5 / teeth,
+                        omega0=omega0, teeth=teeth, p=-1.0, seed=teeth)
+        cases = ((phase_waveform_at, deph, deph.alpha * deph.envelope_table(), np.sin),
+                 (detuning_waveform_at, deph, deph.tooth_amplitudes(), np.cos),
+                 (amplitude_waveform_at, amp, amp.tooth_amplitudes(), np.cos))
+        for evaluate, spec, amps, trig in cases:
+            tol = 1e-12 * float(np.sum(np.abs(amps)))
+            # the single draw is row 0 of the batch, so one reference serves both
+            ref = _longdouble_comb(omega0, amps, _draws(spec, 2), times, trig)
+            for rows, expect in ((None, ref[0]), (2, ref)):
+                out = evaluate(spec, _draws(spec, rows), times)
+                assert out.shape == expect.shape
+                assert float(np.max(np.abs(out - expect))) <= tol, (evaluate.__name__, rows)
+
+
+def test_one_transform_per_time_sample(monkeypatch):
+    # phases once, plus one row of e^{i omega0 t} per evaluator: no J x m trig table
+    spec = white_dephasing(omega0=TWO_PI * 50.0, teeth=750, seed=3)
+    grid = TimeGrid.periods_of(spec.omega0, 1, 3001)
+    transformed = []
+    inner = noise.phasors
+
+    def counting(psi):
+        transformed.append(np.size(psi))
+        return inner(psi)
+
+    monkeypatch.setattr(noise, "phasors", counting)
+    realize(spec, grid, 0)
+    assert sum(transformed) == 750 + 2 * 3001
 
 
 class TestRealizationInvariants:

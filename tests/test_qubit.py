@@ -167,6 +167,17 @@ class TestRamsey:
         assert np.all(rec.stderr == 0.0)
         assert np.all(rec.visibility > 0.999)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 7, 8])
+    def test_frozen_phases_errors_exactly_zero(self, seed):
+        # the mean of n copies of one value is not always that value, so
+        # repeating the frozen row left std ~1e-17 instead of 0
+        spec = deph_spec(1.5, omega0_hz=50.0, teeth=20, seed=seed)
+        rec = ramsey(spec, fringe_detuning=TWO_PI * 500.0, pulse_rabi=TWO_PI * 1e4,
+                     taus=[1e-3, 3e-3], n_realizations=25, freeze_phases=True)
+        assert np.all(rec.stderr == 0.0)
+        assert np.all(rec.visibility_err == 0.0)
+        assert rec.n_realizations == 25
+
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValidationError):
             ramsey(deph_spec(1.0), fringe_detuning=1.0, pulse_rabi=1e4,

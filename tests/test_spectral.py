@@ -87,6 +87,13 @@ class TestEstimatePsd:
         with pytest.raises(ValidationError):
             estimate_psd([realize(spec, g1, 0), realize(spec, g2, 1)])
 
+    def test_spec_mismatch_rejected(self):
+        deph = make_spec(Quadrature.DEPHASING, p=0)
+        amp = make_spec(Quadrature.AMPLITUDE, p=0, alpha=0.01)
+        grid = TimeGrid.periods_of(deph.omega0, 2, 64)
+        with pytest.raises(ValidationError, match="same spec"):
+            estimate_psd([realize(deph, grid, 0), realize(amp, grid, 0)])
+
     def test_short_record_rejected(self):
         spec = make_spec(Quadrature.DEPHASING, p=0, omega0=1.0, teeth=4)
         short = TimeGrid(0.0, 0.01, 32)  # 0.32 s << one period
