@@ -7,14 +7,13 @@ amplitude-noise Hamiltonians, and verify everything against analytic
 filter-function predictions and spectral oracles.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (AmplitudeRangeWarning, BathforgeError, ConfigError, FitError,
                      NyquistError, ValidationError)
 from .grid import TimeGrid
 from .noise import (AnalyticComb, NoiseRealization, NoiseSpec, PhaseDraw, Quadrature,
-                    analytic_autocorrelation, analytic_psd, draw_phases,
-                    envelope_values, realize)
+                    analytic_psd, draw_phases, envelope_values, realize)
 from .filter_theory import (CoherenceCurve, chi_fid_comb, chi_from_comb,
                             chi_white_analytic, coherence_curve, fid_filter,
                             fidelity_from_chi, predicted_t2)

@@ -44,8 +44,8 @@ from .errors import AmplitudeRangeWarning, NyquistError, ValidationError
 from .grid import TimeGrid
 
 _MAX_SEED = 2**64 - 1
-# times per harmonic table in _comb_eval: (750, 1024) complex is 12 MB
-_TIME_BLOCK = 1024
+# times per harmonic table in _comb_eval: (750, 256) complex is 3 MB
+_TIME_BLOCK = 256
 
 
 class Quadrature(enum.Enum):
@@ -325,14 +325,6 @@ def analytic_psd(spec: NoiseSpec) -> AnalyticComb:
     """
     return AnalyticComb(omega=spec.tooth_frequencies(),
                         weights=0.5 * np.pi * spec.tooth_amplitudes() ** 2)
-
-
-def analytic_autocorrelation(spec: NoiseSpec, tau) -> np.ndarray | float:
-    """Exact autocorrelation C(tau) = sum_j (a_j^2 / 2) cos(omega_j tau) of the comb."""
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    coeff = 0.5 * spec.tooth_amplitudes() ** 2
-    out = np.cos(np.outer(tau_arr, spec.tooth_frequencies())) @ coeff
-    return float(out[0]) if np.isscalar(tau) or np.ndim(tau) == 0 else out
 
 
 def export_realization_csv(realization: NoiseRealization, path) -> None:

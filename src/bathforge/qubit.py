@@ -7,11 +7,13 @@ The interaction-picture Hamiltonian is
 with ``c_z = (Delta - beta_z)/2``: a static fringe detuning Delta plus the
 engineered detuning noise, which enters with a minus sign because it derives
 from phase modulation of the local oscillator.  ``propagate``, the Ramsey
-pulses and the Rabi drive all step through one in-place stepper that applies
-the exact, unconditionally unitary 2x2 Pauli exponential of each
-piecewise-constant sample.  Free evolution under pure sigma_z terms is applied
-in closed form through differences of the accumulated phase phi_N (sigma_z
-terms at different times commute), so it carries no discretization error.
+pulses and the Rabi drive all evolve through ``_evolve``, which writes the
+exact, unconditionally unitary 2x2 Pauli exponential of each piecewise-constant
+sample as a unit quaternion, multiplies each run of steps pairwise down to one
+unitary and applies that to the states once.  Free evolution under pure
+sigma_z terms is applied in closed form through differences of the accumulated
+phase phi_N (sigma_z terms at different times commute), so it carries no
+discretization error.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .noise import (NoiseSpec, Quadrature, amplitude_waveform_at,
                     detuning_waveform_at, draw_phase_matrix, phase_waveform_at, phasors)
 
 _STEP_LIMIT = 0.05  # max rotation angle per piecewise-constant step, rad
+_CHUNK = 4096  # steps reduced to one unitary at a time, so scratch memory stays flat
 
 
 @dataclass(frozen=True)
@@ -76,30 +79,6 @@ def population_1(state: np.ndarray) -> np.ndarray:
     return np.abs(state[..., 1]) ** 2
 
 
-def _su2_step(state: np.ndarray, vx, vy, vz, dt: float) -> np.ndarray:
-    """Apply exp(-i dt (vx sx + vy sy + vz sz)/2) to (..., 2) states in place.
-
-    Closed-form Pauli exponential: with theta = |v| dt,
-    U = cos(theta/2) I - i sin(theta/2) (v_hat . sigma).
-    """
-    norm = np.sqrt(vx * vx + vy * vy + vz * vz)
-    half = 0.5 * norm * dt
-    c = np.cos(half)
-    # sin(half)/norm, safe at norm == 0 where the step is the identity
-    safe = np.where(norm > 0, norm, 1.0)
-    s_over = np.where(norm > 0, np.sin(half) / safe, 0.5 * dt)
-    a = state[..., 0]
-    b = state[..., 1]
-    kx = -1j * s_over * vx
-    ky = s_over * vy
-    kz = -1j * s_over * vz
-    new_a = (c + kz) * a + (kx - ky) * b
-    new_b = (kx + ky) * a + (c - kz) * b
-    state[..., 0] = new_a
-    state[..., 1] = new_b
-    return state
-
-
 def rotate_z(state: np.ndarray, angle) -> np.ndarray:
     """Exact z rotation exp(-i angle sigma_z / 2) applied to (..., 2) states."""
     phase = np.exp(-0.5j * np.asarray(angle))
@@ -111,16 +90,23 @@ def rotate_z(state: np.ndarray, angle) -> np.ndarray:
 def propagate(state: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.ndarray:
     """Evolve a copy of ``state`` through every piecewise-constant sample.
 
-    Each step applies the exact unitary of the sampled Hamiltonian, so norm
-    is preserved to rounding regardless of step count.  Steps must satisfy
-    Omega*dt <= 0.05 and |2 z_coeff|*dt <= 0.05 so that sampling the
-    time-dependent coefficients once per step is accurate.
+    Each sample contributes the exact unitary of its Hamiltonian, and the
+    product of those unitaries is applied to the state, so norm is preserved to
+    rounding regardless of step count.  Steps must satisfy Omega*dt <= 0.05 and
+    |2 z_coeff|*dt <= 0.05 so that sampling the time-dependent coefficients
+    once per step is accurate.
     """
     return _evolve(np.array(state, dtype=complex, copy=True), samples, dt)
 
 
 def _evolve(states: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.ndarray:
-    """In-place core of :func:`propagate`, the only loop over ``_su2_step``."""
+    """In-place core of :func:`propagate`, the only place a state evolves.
+
+    Step k is exp(-i dt v_k.sigma/2) = w I - i (x sx + y sy + z sz) with
+    w = cos(|v_k| dt/2) and (x, y, z) = sin(|v_k| dt/2) v_k/|v_k|.  Each run of
+    ``_CHUNK`` steps is multiplied pairwise, later step on the left, down to
+    one quaternion, which is applied before the next run is built.
+    """
     _require_positive("dt", dt)
     z = np.atleast_1d(np.asarray(samples.z_coeff, dtype=float))
     om = np.atleast_1d(np.asarray(samples.rabi, dtype=float))
@@ -131,9 +117,37 @@ def _evolve(states: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.nd
         raise ValidationError(f"|2 z_coeff|*dt exceeds {_STEP_LIMIT} rad per step")
     # per-step rotation vector, computed once for the whole call
     vx, vy, vz = np.broadcast_arrays(om * np.cos(ph), om * np.sin(ph), 2.0 * z)
-    for k in range(vx.shape[-1]):
-        _su2_step(states, vx[..., k], vy[..., k], vz[..., k], dt)
+    for start in range(0, vx.shape[-1], _CHUNK):
+        block = slice(start, start + _CHUNK)
+        v = np.stack((vx[..., block], vy[..., block], vz[..., block]))
+        norm = np.sqrt(np.sum(v * v, axis=0))
+        half = 0.5 * norm * dt
+        # sin(half)/norm, safe at norm == 0 where the step is the identity
+        s_over = np.where(norm > 0, np.sin(half) / np.where(norm > 0, norm, 1.0), 0.5 * dt)
+        q = np.concatenate((np.cos(half)[None], s_over * v))
+        while q.shape[-1] > 1:
+            even = q.shape[-1] // 2 * 2
+            q = np.concatenate((_compose(q[..., 1:even:2], q[..., 0:even:2]),
+                                q[..., even:]), axis=-1)
+        w, qx, qy, qz = q[..., 0]
+        a = states[..., 0]
+        b = states[..., 1]
+        new_a = (w - 1j * qz) * a - (qy + 1j * qx) * b
+        new_b = (qy - 1j * qx) * a + (w + 1j * qz) * b
+        states[..., 0] = new_a
+        states[..., 1] = new_b
     return states
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Unit-quaternion product ``later * earlier`` of (4, ...) arrays: the
+    unitary of ``earlier`` followed by ``later``."""
+    w2, x2, y2, z2 = later
+    w1, x1, y1, z1 = earlier
+    return np.stack((w2 * w1 - (x2 * x1 + y2 * y1 + z2 * z1),
+                     w2 * x1 + w1 * x2 + (y2 * z1 - z2 * y1),
+                     w2 * y1 + w1 * y2 + (z2 * x1 - x2 * z1),
+                     w2 * z1 + w1 * z2 + (x2 * y1 - y2 * x1)))
 
 
 def _pulse_steps(duration: float, rabi: float, z_bound: float) -> int:

@@ -34,18 +34,6 @@ class PsdEstimate:
     rbw: float
     n_samples: int
 
-    def total_power(self) -> float:
-        """Sum of density * bin width over the full two-sided set of bins.
-
-        Interior bins count twice (mirror at negative frequency); DC and,
-        for even records, the unpaired Nyquist bin count once.
-        """
-        w = np.full(self.density.shape, 2.0)
-        w[0] = 1.0
-        if self.n_samples % 2 == 0:
-            w[-1] = 1.0
-        return float(np.sum(w * self.density) * self.rbw)
-
 
 @dataclass(frozen=True)
 class SidebandComb:

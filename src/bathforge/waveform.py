@@ -231,12 +231,3 @@ def export_binary(w: IQWaveform, path, header_path=None, spec_hash: str = "") ->
                  f"bits = {w.quantized.bits}\n"
                  f"n_samples = {len(w.i)}\n"
                  f"spec_hash = {spec_hash}\n")
-
-
-def read_binary(path, sample_rate: float, full_scale: float, bits: int = 16) -> IQWaveform:
-    """Reload a binary export into reconstructed floating-point I/Q."""
-    raw = np.fromfile(path, dtype="<i2")
-    step = full_scale / 2 ** (bits - 1)
-    return IQWaveform(sample_rate=sample_rate,
-                      i=raw[0::2].astype(float) * step,
-                      q=raw[1::2].astype(float) * step)

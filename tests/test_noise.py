@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bathforge import (AmplitudeRangeWarning, NoiseSpec, NyquistError, Quadrature,
-                       TimeGrid, ValidationError, analytic_autocorrelation,
-                       analytic_psd, draw_phases, envelope_values, realize)
+                       TimeGrid, ValidationError, analytic_psd, draw_phases,
+                       envelope_values, realize)
 from bathforge import noise
 from bathforge.noise import (amplitude_waveform_at, detuning_waveform_at,
                              draw_phase_matrix, export_realization_csv,
@@ -24,6 +24,12 @@ def white_dephasing(alpha=0.5, omega0=1.0, teeth=8, seed=11):
 def white_amplitude(alpha=0.01, omega0=1.0, teeth=8, seed=11):
     return NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=alpha,
                      omega0=omega0, teeth=teeth, p=0, seed=seed)
+
+
+def analytic_autocorrelation(spec, tau):
+    """Exact autocorrelation C(tau) = sum_j (a_j^2 / 2) cos(omega_j tau) of the comb."""
+    return float(np.sum(0.5 * spec.tooth_amplitudes() ** 2
+                        * np.cos(spec.tooth_frequencies() * tau)))
 
 
 class TestNoiseSpec:
@@ -377,7 +383,7 @@ class TestCombAgainstLongDouble:
     periods.
     """
 
-    @pytest.mark.parametrize("m", [1, 1023, 1024, 1025, 3001])
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 1023, 1024, 1025, 3001])
     @pytest.mark.parametrize("teeth", [1, 2, 3, 4, 5, 8, 9, 750])
     def test_within_1e12_of_amplitude_sum(self, teeth, m):
         omega0 = TWO_PI * 50.0

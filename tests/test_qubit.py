@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import j0
 
 from bathforge import (HamiltonianSamples, NoiseSpec, Quadrature, ValidationError,
                        chi_fid_comb, ket0, population_1, propagate, rabi, ramsey,
@@ -21,6 +24,144 @@ def deph_spec(alpha, omega0_hz=4.0, teeth=750, seed=17):
 def amp_spec(alpha, omega0_hz=2.0, teeth=20, seed=17):
     return NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=alpha,
                      omega0=TWO_PI * omega0_hz, teeth=teeth, p=0, seed=seed)
+
+
+def su2_step(state, vx, vy, vz, dt):
+    """Apply exp(-i dt (vx sx + vy sy + vz sz)/2) to (..., 2) states in place.
+
+    Closed-form Pauli exponential: with theta = |v| dt,
+    U = cos(theta/2) I - i sin(theta/2) (v_hat . sigma).
+    """
+    norm = np.sqrt(vx * vx + vy * vy + vz * vz)
+    half = 0.5 * norm * dt
+    c = np.cos(half)
+    # sin(half)/norm, safe at norm == 0 where the step is the identity
+    safe = np.where(norm > 0, norm, 1.0)
+    s_over = np.where(norm > 0, np.sin(half) / safe, 0.5 * dt)
+    a = state[..., 0]
+    b = state[..., 1]
+    kx = -1j * s_over * vx
+    ky = s_over * vy
+    kz = -1j * s_over * vz
+    new_a = (c + kz) * a + (kx - ky) * b
+    new_b = (kx + ky) * a + (c - kz) * b
+    state[..., 0] = new_a
+    state[..., 1] = new_b
+    return state
+
+
+def loop_propagate(state, samples, dt):
+    """Reference integrator: one exact SU(2) step at a time, earliest first."""
+    states = np.array(state, dtype=complex, copy=True)
+    om = np.asarray(samples.rabi, dtype=float)
+    ph = np.asarray(samples.phase, dtype=float)
+    vx, vy, vz = np.broadcast_arrays(om * np.cos(ph), om * np.sin(ph),
+                                     2.0 * np.asarray(samples.z_coeff, dtype=float))
+    for k in range(vx.shape[-1]):
+        su2_step(states, vx[..., k], vy[..., k], vz[..., k], dt)
+    return states
+
+
+def random_samples(rng, shape, dt):
+    """Samples filling up to 80 % of both per-step rotation limits."""
+    limit = 0.8 * qubit._STEP_LIMIT / dt
+    return HamiltonianSamples(z_coeff=rng.uniform(-0.5, 0.5, shape) * limit,
+                              rabi=rng.uniform(0.0, 1.0, shape) * limit,
+                              phase=rng.uniform(0.0, TWO_PI, shape))
+
+
+def random_states(rng, batch=None):
+    shape = (2,) if batch is None else (batch, 2)
+    s = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return s / np.linalg.norm(s, axis=-1, keepdims=True)
+
+
+def rotation(theta, nx, ny, nz):
+    """exp(-i theta (n . sigma)/2) as a 2x2 matrix."""
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return np.array([[c - 1j * s * nz, -1j * s * nx - s * ny],
+                     [-1j * s * nx + s * ny, c + 1j * s * nz]])
+
+
+class TestTreeProduct:
+    """The pairwise quaternion product against the one-step-at-a-time loop."""
+
+    CHUNK = qubit._CHUNK
+
+    @pytest.mark.parametrize("m", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_matches_step_loop(self, m):
+        rng = np.random.default_rng(m)
+        state, samples = random_states(rng), random_samples(rng, m, 0.01)
+        tree = propagate(state, samples, 0.01)
+        assert np.max(np.abs(tree - loop_propagate(state, samples, 0.01))) <= 1e-12
+
+    def test_batch_block_matches_step_loop(self):
+        rng = np.random.default_rng(5)
+        states, samples = random_states(rng, 6), random_samples(rng, (6, 700), 1e-3)
+        tree = propagate(states, samples, 1e-3)
+        assert tree.shape == (6, 2)
+        assert np.max(np.abs(tree - loop_propagate(states, samples, 1e-3))) <= 1e-12
+
+    @pytest.mark.parametrize("batched", ["z_coeff", "rabi"])
+    def test_scalar_broadcast_matches_step_loop(self, batched):
+        # Ramsey pulses batch only z_coeff, Rabi segments only rabi
+        rng = np.random.default_rng(6)
+        full = random_samples(rng, (4, 300), 1e-3)
+        samples = HamiltonianSamples(**{
+            name: getattr(full, name) if name == batched else getattr(full, name)[0, 0]
+            for name in ("z_coeff", "rabi", "phase")})
+        states = random_states(rng, 4)
+        tree = propagate(states, samples, 1e-3)
+        assert np.max(np.abs(tree - loop_propagate(states, samples, 1e-3))) <= 1e-12
+
+    @pytest.mark.parametrize("m", [0, 1, 50, CHUNK + 3])
+    def test_zero_steps_exact_identity(self, m):
+        state = random_states(np.random.default_rng(7), 3)
+        out = propagate(state, HamiltonianSamples(
+            z_coeff=np.zeros(m), rabi=np.zeros(m), phase=np.zeros(m)), dt=0.5)
+        assert np.array_equal(out, state)
+
+    def test_later_step_on_the_left(self):
+        # an x pi/2 pulse then a y pi/2 pulse is R_y R_x, which differs from R_x R_y
+        m, dt = 40, 1e-3
+        rabi_ = 0.5 * math.pi / (m * dt)
+        samples = HamiltonianSamples(z_coeff=np.zeros(2 * m), rabi=np.full(2 * m, rabi_),
+                                     phase=np.repeat([0.0, 0.5 * math.pi], m))
+        state = random_states(np.random.default_rng(8))
+        rx, ry = rotation(0.5 * math.pi, 1, 0, 0), rotation(0.5 * math.pi, 0, 1, 0)
+        out = propagate(state, samples, dt)
+        assert np.max(np.abs(out - ry @ rx @ state)) <= 1e-12
+        assert np.max(np.abs(out - rx @ ry @ state)) > 0.1
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(0.0, 5.0),
+                                    st.floats(0.0, TWO_PI)), min_size=1, max_size=40),
+           theta=st.floats(0.0, math.pi), phi=st.floats(0.0, TWO_PI))
+    def test_random_sequence_matches_loop(self, steps, theta, phi):
+        z, om, ph = (np.array(col) for col in zip(*steps))
+        samples = HamiltonianSamples(z_coeff=z, rabi=om, phase=ph)
+        state = np.array([math.cos(0.5 * theta), np.exp(1j * phi) * math.sin(0.5 * theta)])
+        tree = propagate(state, samples, 0.01)
+        assert np.max(np.abs(tree - loop_propagate(state, samples, 0.01))) <= 1e-12
+        assert abs(np.linalg.norm(tree) - 1.0) <= 1e-14
+
+    def test_pair_products_per_chunk(self, monkeypatch):
+        # a tree takes about log2(_CHUNK) vectorised products per chunk; a
+        # per-step loop would take one per step
+        sizes = []
+        real = qubit._compose
+
+        def counting(later, earlier):
+            sizes.append(later.shape[-1])
+            return real(later, earlier)
+
+        monkeypatch.setattr(qubit, "_compose", counting)
+        m = 10_000
+        propagate(ket0(), random_samples(np.random.default_rng(9), m, 0.01), 0.01)
+        chunks = math.ceil(m / self.CHUNK)
+        assert len(sizes) <= chunks * math.ceil(math.log2(self.CHUNK))
+        # every product merges one pair, down to one quaternion per chunk
+        assert sum(sizes) == m - chunks
 
 
 class TestPropagate:
@@ -289,6 +430,25 @@ class TestRabi:
         psi = draw_phase_matrix(spec, range(n))
         exact = rabi_closed_form(spec, omega, rec.sweep, psi).mean(axis=0)
         assert np.max(np.abs(rec.mean - exact)) < 2e-7
+
+    def test_bessel_oracle(self):
+        # with constant drive phase theta = Omega0 t + sum_j r_j cos(psi_j'),
+        # r_j = 2 Omega0 a_j sin(w_j t/2)/w_j, and uniform independent phases give
+        # E[cos theta] = cos(Omega0 t) prod_j J0(r_j) exactly; the bound is fixed
+        # at 4.5 standard errors per point
+        spec = amp_spec(0.3, teeth=3, seed=61)
+        omega = TWO_PI * 1e3
+        a = spec.tooth_amplitudes()[:, None]
+        wj = spec.tooth_frequencies()[:, None]
+        t_dec = 2.0 / (omega * math.sqrt(np.sum(a**2)))
+        rec = rabi(spec, drive_rabi=omega, durations=np.linspace(0.05, 4.0, 60) * t_dec,
+                   n_realizations=5000)
+        r = 2.0 * omega * a * np.sin(0.5 * wj * rec.sweep) / wj
+        exact = 0.5 * (1.0 - np.cos(omega * rec.sweep) * np.prod(j0(r), axis=0))
+        assert np.max(np.abs(rec.mean - exact) / rec.stderr) <= 4.5
+        # the Gaussian form J0(r) ~ exp(-r^2/4) misses the same bound
+        gauss = 0.5 * (1.0 - np.cos(omega * rec.sweep) * np.exp(-0.25 * np.sum(r**2, axis=0)))
+        assert np.max(np.abs(rec.mean - gauss) / rec.stderr) > 4.5
 
     def test_dt_refinement_converges(self):
         spec = amp_spec(0.03, seed=43)

@@ -6,7 +6,7 @@ import pytest
 from bathforge import (ControlProgram, IQWaveform, NoiseSpec, Quadrature, Segment,
                        TimeGrid, ValidationError, compose, continuity_report, quantize,
                        realize, to_iq)
-from bathforge.waveform import export_binary, export_csv, read_binary
+from bathforge.waveform import export_binary, export_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -238,8 +238,10 @@ class TestExport:
                      bits=16, full_scale=1.0)
         path = tmp_path / "wave.iq"
         export_binary(w, path, spec_hash="abc123")
-        back = read_binary(path, sample_rate=50.0, full_scale=1.0, bits=16)
-        assert np.allclose(back.i, w.quantized.codes_i * w.quantized.step)
+        # interleaved little-endian int16 I/Q codes
+        raw = np.fromfile(path, dtype="<i2")
+        assert np.array_equal(raw[0::2], w.quantized.codes_i)
+        assert np.array_equal(raw[1::2], w.quantized.codes_q)
         header = (tmp_path / "wave.iq.hdr").read_text()
         assert "spec_hash = abc123" in header
         assert "sample_rate_hz = 50.0" in header
