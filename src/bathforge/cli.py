@@ -22,7 +22,7 @@ from . import __version__
 from .analysis import alpha_scaling, export_scan_csv
 from .config import (SPEC_KEYS, mapping_from_spec, parse_kv, serialize_kv,
                      spec_from_mapping)
-from .errors import BathforgeError, ConfigError, ValidationError
+from .errors import BathforgeError, ConfigError, ValidationError, require_int
 from .filter_theory import coherence_curve, fidelity_from_chi
 from .grid import TimeGrid
 from .noise import NoiseSpec, Quadrature, analytic_psd, export_realization_csv, realize
@@ -198,15 +198,12 @@ def _record_grid(opts: Options, spec: NoiseSpec) -> TimeGrid:
 
 
 def _points(opts: Options) -> int:
-    n = opts["points"]
-    if n < 1:
-        raise ValidationError(f"points must be >= 1, got {n}")
-    return n
+    require_int("points", opts["points"], 1)
+    return opts["points"]
 
 
 def cmd_synth(args, opts: Options, spec: NoiseSpec) -> list:
-    if opts["realizations"] < 1:
-        raise ValidationError(f"realizations must be >= 1, got {opts['realizations']}")
+    require_int("realizations", opts["realizations"], 1)
     grid = _record_grid(opts, spec)
     outputs = []
     for i in range(opts["realizations"]):

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the shared check
+for integer parameters at the API boundary."""
+
+import numbers
 
 
 class BathforgeError(Exception):
@@ -31,3 +34,13 @@ class FitError(BathforgeError):
 
 class AmplitudeRangeWarning(UserWarning):
     """Fractional amplitude noise large enough to drive the field negative."""
+
+
+def require_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Reject bools, non-integers and values outside [low, high]; numpy integers pass."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValidationError(f"{name} must be in [{low}, {high}], got {value}")

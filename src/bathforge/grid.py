@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,7 @@ class TimeGrid:
             raise ValidationError(f"grid t0 must be finite, got {self.t0}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"grid dt must be finite and positive, got {self.dt}")
-        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
-            raise ValidationError(f"grid n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValidationError(f"grid must have at least one sample, got n={self.n}")
+        require_int("grid n", self.n, 1)
 
     @property
     def duration(self) -> float:

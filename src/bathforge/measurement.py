@@ -36,10 +36,10 @@ class CountCalibration:
     dark_std: float
 
     def __post_init__(self):
-        if not (self.bright_mean > self.dark_mean >= 0):
-            raise ValidationError("calibration requires B > D >= 0")
-        if self.bright_std <= 0 or self.dark_std <= 0:
-            raise ValidationError("calibration count deviations must be positive")
+        if not (math.inf > self.bright_mean > self.dark_mean >= 0):
+            raise ValidationError("calibration requires finite B > D >= 0")
+        if not (0 < self.bright_std < math.inf and 0 < self.dark_std < math.inf):
+            raise ValidationError("calibration count deviations must be finite and positive")
 
     def mean_at(self, theta) -> np.ndarray:
         frac = np.asarray(theta) / math.pi

@@ -25,7 +25,7 @@ caller that evaluates one draw block more than once passes ``phasors(psi)``
 and pays for cos and sin of the block once.  On the time side every tooth is
 a harmonic of ``omega0``: the table ``e^{i j omega0 t}`` is built from one
 transform ``e^{i omega0 t}`` per sample by complex doubling, in blocks of
-1024 samples, and each block costs one complex matrix product.
+``_TIME_BLOCK`` samples, and each block costs one complex matrix product.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AmplitudeRangeWarning, NyquistError, ValidationError
+from .errors import AmplitudeRangeWarning, NyquistError, ValidationError, require_int
 from .grid import TimeGrid
 
 _MAX_SEED = 2**64 - 1
@@ -89,18 +88,14 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.quadrature, Quadrature):
             raise ValidationError(f"quadrature must be a Quadrature, got {self.quadrature!r}")
-        if not isinstance(self.teeth, numbers.Integral) or isinstance(self.teeth, bool):
-            raise ValidationError(f"teeth must be an integer, got {self.teeth!r}")
-        if self.teeth < 1:
-            raise ValidationError(f"teeth must be >= 1, got {self.teeth}")
+        require_int("teeth", self.teeth, 1)
         if not (math.isfinite(self.omega0) and self.omega0 > 0):
             raise ValidationError(f"omega0 must be finite and positive, got {self.omega0}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.p is not None and not math.isfinite(self.p):
             raise ValidationError(f"p must be finite, got {self.p}")
-        if not (0 <= self.seed <= _MAX_SEED):
-            raise ValidationError("seed must fit in 64 bits")
+        require_int("seed", self.seed, 0, _MAX_SEED)
         if (self.p is None) == (self.envelope is None):
             raise ValidationError("exactly one of p or envelope must be given")
         if self.envelope is not None:

@@ -6,14 +6,16 @@ The interaction-picture Hamiltonian is
 
 with ``c_z = (Delta - beta_z)/2``: a static fringe detuning Delta plus the
 engineered detuning noise, which enters with a minus sign because it derives
-from phase modulation of the local oscillator.  ``propagate``, the Ramsey
-pulses and the Rabi drive all evolve through ``_evolve``, which writes the
-exact, unconditionally unitary 2x2 Pauli exponential of each piecewise-constant
-sample as a unit quaternion, multiplies each run of steps pairwise down to one
-unitary and applies that to the states once.  Free evolution under pure
-sigma_z terms is applied in closed form through differences of the accumulated
-phase phi_N (sigma_z terms at different times commute), so it carries no
-discretization error.
+from phase modulation of the local oscillator.  ``propagate`` and the Ramsey
+pulses evolve through ``_evolve``, which writes the exact, unconditionally
+unitary 2x2 Pauli exponential of each piecewise-constant sample as a unit
+quaternion, multiplies each run of steps pairwise down to one unitary and
+applies that to the states once.  Free evolution under pure sigma_z terms is
+applied in closed form through differences of the accumulated phase phi_N
+(sigma_z terms at different times commute), so it carries no discretization
+error.  The Rabi drive commutes with itself too (sigma_x at every step), so
+each trajectory is one x rotation by the midpoint sum of its sampled drive,
+theta = dt * sum_k Omega_k.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .noise import (NoiseSpec, Quadrature, amplitude_waveform_at,
                     detuning_waveform_at, draw_phase_matrix, phase_waveform_at, phasors)
 
@@ -169,6 +171,13 @@ def _sweep(name: str, values: Sequence[float]) -> np.ndarray:
     return arr
 
 
+def _mean_stderr(p: np.ndarray):
+    """Mean and standard error over axis 0; the error is exactly 0 for one row."""
+    rows = len(p)
+    se = p.std(axis=0, ddof=1) / math.sqrt(rows) if rows > 1 else np.zeros(p.shape[1:])
+    return p.mean(axis=0), se
+
+
 def _apply_pulse(states: np.ndarray, beta: np.ndarray, rabi: float, phi_c: float,
                  delta: float, dt: float) -> np.ndarray:
     """Drive pulse about ``phi_c`` with detuning ``delta - beta`` sampled per step."""
@@ -199,8 +208,7 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
     """
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("ramsey requires a dephasing noise spec")
-    if n_realizations < 1:
-        raise ValidationError("n_realizations must be >= 1")
+    require_int("n_realizations", n_realizations, 1)
     _require_positive("pulse_rabi", pulse_rabi)
     taus = _sweep("taus", taus)
     if not math.isfinite(fringe_detuning):
@@ -250,18 +258,12 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         p_a = population_1(states)
         p_b = population_1(states_y)
         # statistics over the rows simulated: one row when the phases are frozen
-        rows = len(p_a)
-        mean[it] = p_a.mean()
-        se[it] = p_a.std(ddof=1) / math.sqrt(rows) if rows > 1 else 0.0
+        mean[it], se[it] = _mean_stderr(p_a)
         u = np.stack([2 * p_a - 1, 2 * p_b - 1], axis=1)
         u_mean = u.mean(axis=0)
         v = float(np.hypot(*u_mean))
         vis[it] = v
-        if v > 0 and rows > 1:
-            proj = u @ (u_mean / v)
-            vis_se[it] = proj.std(ddof=1) / math.sqrt(rows)
-        else:
-            vis_se[it] = 0.0
+        vis_se[it] = _mean_stderr(u @ (u_mean / v))[1] if v > 0 else 0.0
     return ExperimentRecord(
         kind="ramsey", sweep=taus, mean=mean, stderr=se,
         n_realizations=n, spec_hash=spec.spec_hash(),
@@ -286,8 +288,7 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     """
     if spec.quadrature is not Quadrature.AMPLITUDE:
         raise ValidationError("rabi requires an amplitude noise spec")
-    if n_realizations < 1:
-        raise ValidationError("n_realizations must be >= 1")
+    require_int("n_realizations", n_realizations, 1)
     _require_positive("drive_rabi", drive_rabi)
     durations = _sweep("durations", durations)
     beta_bound = float(np.sum(np.abs(spec.tooth_amplitudes())))
@@ -299,22 +300,17 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     n_steps = max(1, int(math.ceil(t_max / dt - 1e-12)))
     marks = np.clip(np.round(durations / dt).astype(int), 0, n_steps)
     z = phasors(draw_phase_matrix(spec, range(n_realizations)))
-    states = ket0(n_realizations)
     mids = dt * (np.arange(n_steps) + 0.5)
     if spec.alpha > 0:
         omega = drive_rabi * (1.0 + amplitude_waveform_at(spec, z, mids))
     else:
         omega = np.full((1, n_steps), float(drive_rabi))
-    pops = np.empty((n_realizations, len(durations)))
-    done = 0
-    for mark in np.unique(marks):
-        _evolve(states, HamiltonianSamples(z_coeff=0.0, rabi=omega[:, done:mark],
-                                           phase=0.0), dt)
-        pops[:, marks == mark] = population_1(states)[:, None]
-        done = mark
-    mean = pops.mean(axis=0)
-    se = (pops.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-          if n_realizations > 1 else np.zeros(len(durations)))
+    if max(omega.max(), -omega.min()) * dt > _STEP_LIMIT * (1 + 1e-9):
+        raise ValidationError(f"Omega*dt exceeds {_STEP_LIMIT} rad per step")
+    # x rotations commute: the angle at mark k is dt times the sum of steps < k
+    np.cumsum(omega, axis=-1, out=omega)
+    theta = dt * np.where(marks > 0, omega[:, marks - 1], 0.0)
+    mean, se = _mean_stderr(np.sin(0.5 * theta) ** 2)
     return ExperimentRecord(
         kind="rabi", sweep=marks * dt, mean=mean, stderr=se,
         n_realizations=n_realizations, spec_hash=spec.spec_hash(),

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import jv
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .noise import NoiseRealization, NoiseSpec
 
 
@@ -107,8 +107,7 @@ def pm_sidebands(carrier_amp: float, mod_depth: float, omega_m: float,
     Negative orders are mirrored via J_{-n} = (-1)^n J_n so the magnitude
     symmetry about the carrier is exact by construction.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    require_int("n_max", n_max, 1)
     n_pos = np.arange(0, n_max + 1)
     amps_pos = carrier_amp * jv(n_pos, mod_depth)
     n = np.concatenate([-n_pos[:0:-1], n_pos])

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .grid import TimeGrid
 from .noise import NoiseRealization, Quadrature
 
@@ -149,8 +149,7 @@ def quantize(w: IQWaveform, bits: int = 16,
     reported on the quantized block.  ``bits`` is at most 16, the width of
     the binary export format.
     """
-    if bits < 2 or bits > 16:
-        raise ValidationError(f"bits must be in [2, 16], got {bits}")
+    require_int("bits", bits, 2, 16)
     if not (np.all(np.isfinite(w.i)) and np.all(np.isfinite(w.q))):
         raise ValidationError("IQ samples must be finite to quantize")
     levels = 2 ** (bits - 1)

@@ -1,10 +1,12 @@
 import math
 import shlex
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bathforge import __version__
 from bathforge.cli import build_parser, main
 from bathforge.config import (mapping_from_spec, parse_kv, serialize_kv,
                               spec_from_mapping)
@@ -335,3 +337,8 @@ def test_readme_quick_start_parses(line):
 
 def test_readme_quick_start_found():
     assert len(_readme_cli_lines()) >= 8
+
+
+def test_package_version_matches_pyproject():
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__

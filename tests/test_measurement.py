@@ -17,6 +17,16 @@ class TestCalibration:
         with pytest.raises(ValidationError):
             CountCalibration(bright_mean=2.0, dark_mean=1.0, bright_std=0, dark_std=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("bright_std", math.nan), ("dark_std", math.inf), ("bright_mean", math.inf),
+        ("bright_mean", math.nan), ("dark_mean", math.nan),
+    ])
+    def test_nonfinite_rejected(self, field, value):
+        kwargs = dict(bright_mean=10.0, dark_mean=1.0, bright_std=3.0, dark_std=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValidationError):
+            CountCalibration(**kwargs)
+
     def test_interpolation_endpoints(self):
         assert CAL.mean_at(0.0) == CAL.dark_mean
         assert CAL.mean_at(math.pi) == CAL.bright_mean

@@ -56,6 +56,7 @@ class TestNoiseSpec:
         ("omega0", math.nan), ("omega0", math.inf),
         ("p", math.nan), ("p", math.inf), ("p", -math.inf),
         ("teeth", 2.5), ("teeth", 3.0), ("teeth", True),
+        ("seed", 1.5), ("seed", 2.0), ("seed", True),
     ])
     def test_nonfinite_or_fractional_rejected(self, field, value):
         kwargs = dict(quadrature=Quadrature.DEPHASING, alpha=1.0, omega0=1.0,
@@ -66,6 +67,15 @@ class TestNoiseSpec:
 
     def test_numpy_integer_teeth_accepted(self):
         assert white_dephasing(teeth=np.int64(5)).teeth == 5
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            white_dephasing(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = white_dephasing(seed=np.uint64(2**64 - 1))
+        assert draw_phases(spec, 0).psi.shape == (spec.teeth,)
 
     def test_cutoff_derived(self):
         spec = white_dephasing(omega0=3.0, teeth=7)

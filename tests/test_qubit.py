@@ -9,7 +9,8 @@ from scipy.special import j0
 from bathforge import (HamiltonianSamples, NoiseSpec, Quadrature, ValidationError,
                        chi_fid_comb, ket0, population_1, propagate, rabi, ramsey,
                        rotate_z)
-from bathforge.noise import draw_phases, phase_waveform_at
+from bathforge.noise import (amplitude_waveform_at, draw_phase_matrix, draw_phases,
+                             phase_waveform_at, phasors)
 from bathforge import qubit
 from bathforge.qubit import export_record_csv
 
@@ -324,6 +325,11 @@ class TestRamsey:
             ramsey(deph_spec(1.0), fringe_detuning=1.0, pulse_rabi=1e4,
                    taus=[1e-3], n_realizations=0)
 
+    def test_fractional_realizations_rejected(self):
+        with pytest.raises(ValidationError, match="n_realizations"):
+            ramsey(deph_spec(1.0), fringe_detuning=1.0, pulse_rabi=1e4,
+                   taus=[1e-3], n_realizations=2.5)
+
     def test_zero_detuning_warns(self):
         with pytest.warns(UserWarning):
             ramsey(deph_spec(0.0), fringe_detuning=0.0, pulse_rabi=TWO_PI * 1e4,
@@ -478,6 +484,36 @@ class TestRabi:
                 p1[k] += math.sin(0.5 * omega * (t + spec.alpha * wiggle)) ** 2 / n
         assert np.max(np.abs(rec.mean - p1)) < 1e-6
 
+    def test_matches_step_loop_at_every_mark(self):
+        # the summed angle against the one-step-at-a-time reference integrator,
+        # fed the same sampled drive rows; teeth up to 1 kHz make the drive vary
+        spec = amp_spec(0.15, omega0_hz=200.0, teeth=5, seed=29)
+        omega = TWO_PI * 1e3
+        n = 4
+        rec = rabi(spec, drive_rabi=omega, durations=np.linspace(0.0, 3e-3, 13),
+                   n_realizations=n)
+        dt = rec.meta["dt"]
+        mids = dt * (np.arange(rec.meta["n_steps"]) + 0.5)
+        drive = omega * (1.0 + amplitude_waveform_at(
+            spec, phasors(draw_phase_matrix(spec, range(n))), mids))
+        states = ket0(n)
+        p1 = np.empty((n, len(rec.sweep)))
+        done = 0
+        for k, mark in enumerate(np.round(rec.sweep / dt).astype(int)):
+            states = loop_propagate(states, HamiltonianSamples(
+                z_coeff=0.0, rabi=drive[:, done:mark], phase=0.0), dt)
+            p1[:, k] = population_1(states)
+            done = mark
+        assert np.max(np.abs(rec.mean - p1.mean(axis=0))) < 1e-12
+        assert np.max(np.abs(rec.stderr - p1.std(axis=0, ddof=1) / math.sqrt(n))) < 1e-12
+
+    def test_zero_alpha_errors_exactly_zero(self):
+        # without noise every member follows one trajectory, simulated once
+        rec = rabi(amp_spec(0.0), drive_rabi=TWO_PI * 1e3,
+                   durations=np.linspace(0.0, 4e-3, 9), n_realizations=5)
+        assert np.all(rec.stderr == 0.0)
+        assert rec.n_realizations == 5
+
     def test_dt_above_step_limit_rejected(self):
         # 2 pi x 1 kHz x (1 + beta) x 1e-4 s is about 0.6 rad per step
         with pytest.raises(ValidationError, match="Omega"):
@@ -505,6 +541,10 @@ class TestRabi:
     def test_zero_realizations_rejected(self):
         with pytest.raises(ValidationError):
             rabi(amp_spec(0.1), drive_rabi=1.0, durations=[1e-3], n_realizations=0)
+
+    def test_fractional_realizations_rejected(self):
+        with pytest.raises(ValidationError, match="n_realizations"):
+            rabi(amp_spec(0.1), drive_rabi=1.0, durations=[1e-3], n_realizations=2.5)
 
     def test_requires_amplitude_spec(self):
         with pytest.raises(ValidationError):

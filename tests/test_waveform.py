@@ -182,6 +182,12 @@ class TestQuantize:
         with pytest.raises(ValidationError, match="bits"):
             quantize(w, bits=bits, full_scale=1.0)
 
+    @pytest.mark.parametrize("bits", [8.5, 16.0, True])
+    def test_non_integer_bits_rejected(self, bits):
+        w = to_iq(np.array([0.5]), np.zeros(1), 1.0)
+        with pytest.raises(ValidationError, match="bits"):
+            quantize(w, bits=bits, full_scale=1.0)
+
     def test_default_full_scale_fits_peak(self):
         w = to_iq(np.array([1.0, 0.25]), np.zeros(2), 1.0)
         q = quantize(w, bits=16).quantized
