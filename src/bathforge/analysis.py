@@ -181,7 +181,6 @@ class AlphaScanResult:
     exponent: float
     exponent_err: float
     records: list = field(default_factory=list)
-    fits: list = field(default_factory=list)
 
 
 def fit_rate_exponent(alphas: np.ndarray, t2: np.ndarray,
@@ -219,7 +218,7 @@ def alpha_scaling(base_spec: NoiseSpec, alphas: Sequence[float], *,
         raise ValidationError("need at least 4 alpha values for a scaling fit")
     if np.ptp(alphas) == 0:
         raise ValidationError("alpha values must not all be equal")
-    t2s, errs, records, fits = [], [], [], []
+    t2s, errs, records = [], [], []
     for a in alphas:
         spec = replace(base_spec, alpha=float(a))
         tau_max = _TAU_SPAN_T2 * predicted_t2(spec)
@@ -234,11 +233,10 @@ def alpha_scaling(base_spec: NoiseSpec, alphas: Sequence[float], *,
         t2s.append(fit.t2)
         errs.append(fit.param_errors["t_decay"])
         records.append(rec)
-        fits.append(fit)
     exponent, exp_err = fit_rate_exponent(alphas, np.array(t2s), np.array(errs))
     return AlphaScanResult(alphas=alphas, t2=np.array(t2s), t2_err=np.array(errs),
                            exponent=exponent, exponent_err=exp_err,
-                           records=records, fits=fits)
+                           records=records)
 
 
 def export_scan_csv(result: AlphaScanResult, path) -> None:

@@ -10,19 +10,22 @@ from phase modulation of the local oscillator.  ``propagate`` and the Ramsey
 pulses evolve through ``_evolve``, which writes the exact, unconditionally
 unitary 2x2 Pauli exponential of each piecewise-constant sample as a unit
 quaternion, multiplies each run of steps pairwise down to one unitary and
-applies that to the states once.  Free evolution under pure sigma_z terms is
-applied in closed form through differences of the accumulated phase phi_N
-(sigma_z terms at different times commute), so it carries no discretization
-error.  The Rabi drive commutes with itself too (sigma_x at every step), so
-each trajectory is one x rotation by the midpoint sum of its sampled drive,
-theta = dt * sum_k Omega_k.
+applies that to the states once.  Each Ramsey draw block samples the noise
+of both pulses in one comb call and reduces the second pulse once for both
+analysis phases: the 90 degree pulse is Rz(pi/2) U_0 Rz(-pi/2), and a
+population readout cannot see the final Rz.  Free evolution under pure
+sigma_z terms is applied in closed form through differences of the
+accumulated phase phi_N (sigma_z terms at different times commute), so it
+carries no discretization error.  The Rabi drive commutes with itself too
+(sigma_x at every step), so each trajectory is one x rotation by the
+midpoint sum of its sampled drive, theta = dt * sum_k Omega_k.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -178,13 +181,6 @@ def _mean_stderr(p: np.ndarray):
     return p.mean(axis=0), se
 
 
-def _apply_pulse(states: np.ndarray, beta: np.ndarray, rabi: float, phi_c: float,
-                 delta: float, dt: float) -> np.ndarray:
-    """Drive pulse about ``phi_c`` with detuning ``delta - beta`` sampled per step."""
-    return _evolve(states, HamiltonianSamples(z_coeff=0.5 * (delta - beta),
-                                              rabi=rabi, phase=phi_c), dt)
-
-
 def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
            taus: Sequence[float], n_realizations: int,
            noise_during_pulses: bool = True,
@@ -203,8 +199,8 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
     that one trajectory is simulated once, so its standard errors are 0.
 
     Besides the fringe populations the record carries a pointwise visibility,
-    measured by repeating the final pulse with a 90 degree analysis phase and
-    averaging the two fringe quadratures over the ensemble.
+    the ensemble average of the 0 and 90 degree fringe quadratures, both read
+    through one second-pulse product on the state and its Rz(-pi/2) copy.
     """
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("ramsey requires a dephasing noise spec")
@@ -224,7 +220,10 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
     dt = t_pulse / n_steps
     mids = dt * (np.arange(n_steps) + 0.5)
     noisy_pulses = noise_during_pulses and spec.alpha > 0
-    beta = np.zeros((1, n_steps))
+    # n_steps entries, so _evolve takes n_steps steps even without pulse noise
+    pulse = HamiltonianSamples(z_coeff=np.full(n_steps, 0.5 * fringe_detuning),
+                               rabi=pulse_rabi, phase=0.0)
+    first = second = pulse
     n = n_realizations
     mean = np.empty(len(taus))
     se = np.empty(len(taus))
@@ -234,14 +233,17 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         z = phasors(draw_phase_matrix(spec, [0]))
     for it, tau in enumerate(taus):
         if not freeze_phases:
-            # the three comb evaluations below share this block's phase trig;
+            # the two comb evaluations below share this block's phase trig;
             # the previous block is released before this one is drawn
             z = None
             z = phasors(draw_phase_matrix(spec, range(it * n, (it + 1) * n)))
-        states = ket0(z.shape[0])
         if noisy_pulses:
-            beta = detuning_waveform_at(spec, z, mids)  # (batch, m)
-        _apply_pulse(states, beta, pulse_rabi, 0.0, fringe_detuning, dt)
+            # one comb call samples the noise of both pulse windows
+            beta = detuning_waveform_at(spec, z,
+                                        np.concatenate((mids, (t_pulse + tau) + mids)))
+            first, second = (replace(pulse, z_coeff=0.5 * (fringe_detuning - b))
+                             for b in np.split(beta, [n_steps], axis=-1))
+        states = _evolve(ket0(z.shape[0]), first, dt)
         # free evolution is exact: integral of beta_z is a phi_N difference
         if spec.alpha > 0:
             ends = phase_waveform_at(spec, z, np.array([t_pulse, t_pulse + tau]))
@@ -249,14 +251,10 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         else:
             dphi = 0.0
         rotate_z(states, fringe_detuning * tau - dphi)
-        states_y = states.copy()
-        # one noise sample serves the 0 and 90 degree analysis pulses
-        if noisy_pulses:
-            beta = detuning_waveform_at(spec, z, (t_pulse + tau) + mids)
-        _apply_pulse(states, beta, pulse_rabi, 0.0, fringe_detuning, dt)
-        _apply_pulse(states_y, beta, pulse_rabi, 0.5 * math.pi, fringe_detuning, dt)
-        p_a = population_1(states)
-        p_b = population_1(states_y)
+        # U_90 = Rz(pi/2) U_0 Rz(-pi/2) and P1 ignores the final Rz; Rz(-pi/2) is
+        # diag(1, -i) up to a global phase, and the product with -i is exact
+        both = np.stack((states, states * [1.0, -1j]))
+        p_a, p_b = population_1(_evolve(both, second, dt))
         # statistics over the rows simulated: one row when the phases are frozen
         mean[it], se[it] = _mean_stderr(p_a)
         u = np.stack([2 * p_a - 1, 2 * p_b - 1], axis=1)

@@ -136,8 +136,8 @@ def to_dbc(power, carrier_power: float):
 
     Non-positive densities map to a fixed floor of -200 dBc.
     """
-    if carrier_power <= 0:
-        raise ValidationError("carrier power must be positive")
+    if not (math.isfinite(carrier_power) and carrier_power > 0):
+        raise ValidationError(f"carrier power must be finite and > 0, got {carrier_power}")
     p = np.asarray(power, dtype=float)
     out = np.full(p.shape, -200.0)
     good = p > 0

@@ -191,6 +191,8 @@ def continuity_report(w: IQWaveform, threshold: Optional[float] = None) -> Conti
     The boundary jump compares the last sample against the first, which is
     what matters when a waveform is looped.
     """
+    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0):
+        raise ValidationError(f"jump threshold must be finite and >= 0, got {threshold}")
     ji = float(np.max(np.abs(np.diff(w.i)))) if len(w.i) > 1 else 0.0
     jq = float(np.max(np.abs(np.diff(w.q)))) if len(w.q) > 1 else 0.0
     bi = float(abs(w.i[-1] - w.i[0]))

@@ -261,6 +261,26 @@ class TestCliErrors:
         assert "error category=validation" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-psd", "--spec", "white.cfg", "--realizations", "2", "--periods", "1",
+         "--carrier-power", "nan"],
+        ["verify-psd", "--spec", "white.cfg", "--realizations", "2", "--periods", "1",
+         "--carrier-power", "inf"],
+        ["export", "--program", "prog.txt", "--rate", "8000", "--jump-threshold", "nan"],
+        ["export", "--program", "prog.txt", "--rate", "8000", "--jump-threshold", "-1"],
+    ], ids=["carrier_power_nan", "carrier_power_inf", "jump_threshold_nan",
+            "jump_threshold_negative"])
+    def test_bad_option_values_exit_3(self, tmp_path, monkeypatch, capsys, argv):
+        # these used to write an all-NaN or -inf dBc column, or switch the
+        # continuity flag off or onto every waveform
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "white.cfg").write_text(WHITE_CFG)
+        (tmp_path / "prog.txt").write_text("0.002 250 0\n")
+        rc = main(argv + ["--out", "x"])
+        assert rc == 3
+        assert "error category=validation" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
     @pytest.mark.parametrize("argv,missing", [
         (["synth", "--spec", "nope.cfg"], "nope.cfg"),
         (["synth", "--spec", "white.cfg", "--config", "run.cfg"], "run.cfg"),

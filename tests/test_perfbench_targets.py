@@ -53,16 +53,18 @@ def _traced_metrics(call):
 
 def test_traced_layer_counts():
     # the wrappers read the evaluators' positional (spec, psi or phasors, times)
-    # and the draw calls' indices, so a keyword call or a shapeless argument fails here
+    # and the draw calls' indices, so a keyword call or a shapeless argument fails here;
+    # a Ramsey block samples both pulses' noise in one call, then phi_N at the two ends
     deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.1, omega0=50.0, teeth=3, p=0)
     amp = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.01, omega0=50.0, teeth=3, p=0)
     two_pi = 2.0 * math.pi
     taus, n = [1e-3, 2e-3], 3
-    got = _traced_metrics(lambda: qubit.ramsey(
-        deph, fringe_detuning=two_pi * 10.0, pulse_rabi=two_pi * 1e3, taus=taus,
-        n_realizations=n))
-    assert got["noise.comb.calls"] == 3 * len(taus)
-    assert got["noise.draw.rows"] == len(taus) * n
+    for pulse_noise, calls in ((True, 2), (False, 1)):
+        got = _traced_metrics(lambda: qubit.ramsey(
+            deph, fringe_detuning=two_pi * 10.0, pulse_rabi=two_pi * 1e3, taus=taus,
+            n_realizations=n, noise_during_pulses=pulse_noise))
+        assert got["noise.comb.calls"] == calls * len(taus)
+        assert got["noise.draw.rows"] == len(taus) * n
     got = _traced_metrics(lambda: qubit.rabi(
         amp, drive_rabi=two_pi * 100.0, durations=[0.0, 1e-3], n_realizations=n))
     assert (got["noise.comb.calls"], got["noise.draw.rows"]) == (1, n)

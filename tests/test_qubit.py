@@ -9,8 +9,8 @@ from scipy.special import j0
 from bathforge import (HamiltonianSamples, NoiseSpec, Quadrature, ValidationError,
                        chi_fid_comb, ket0, population_1, propagate, rabi, ramsey,
                        rotate_z)
-from bathforge.noise import (amplitude_waveform_at, draw_phase_matrix, draw_phases,
-                             phase_waveform_at, phasors)
+from bathforge.noise import (amplitude_waveform_at, detuning_waveform_at,
+                             draw_phase_matrix, draw_phases, phase_waveform_at, phasors)
 from bathforge import qubit
 from bathforge.qubit import export_record_csv
 
@@ -358,6 +358,59 @@ class TestRamsey:
                      taus=[5e-3], n_realizations=1)
         assert rec.meta["pulse_to_min_tau"] == pytest.approx(
             (0.25 / 1e4) / 5e-3, rel=1e-12)
+
+
+class TestAnalysisPhase:
+    """The 90 degree analysis pulse read as a 0 degree pulse on Rz(-pi/2) states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(0.0, 5.0)),
+                          min_size=1, max_size=40),
+           theta=st.floats(0.0, math.pi), phi=st.floats(0.0, TWO_PI))
+    def test_conjugated_pulse_same_population(self, steps, theta, phi):
+        # |2 z| dt and Omega dt stay within the 0.05 rad step limit at dt = 0.01
+        z, om = (np.array(col) for col in zip(*steps))
+        state = np.array([math.cos(0.5 * theta), np.exp(1j * phi) * math.sin(0.5 * theta)])
+        y = propagate(state, HamiltonianSamples(z_coeff=z, rabi=om, phase=0.5 * math.pi), 0.01)
+        x = propagate(rotate_z(state.astype(complex), -0.5 * math.pi),
+                      HamiltonianSamples(z_coeff=z, rabi=om, phase=0.0), 0.01)
+        assert abs(population_1(y) - population_1(x)) <= 1e-14
+
+    def test_ramsey_matches_explicit_pulses(self):
+        # each row's pulse noise rebuilt from its own draw, stepped one step at a
+        # time through pulse 1, the exact free rotation and explicit 0 and 90
+        # degree second pulses; teeth up to 10 kHz vary within a 25 us pulse
+        spec = deph_spec(1.5, omega0_hz=2000.0, teeth=5, seed=13)
+        delta, pulse_rabi, n = TWO_PI * 500.0, TWO_PI * 1e4, 6
+        taus = [0.0, 1e-4, 3e-4]
+        rec = ramsey(spec, fringe_detuning=delta, pulse_rabi=pulse_rabi, taus=taus,
+                     n_realizations=n)
+        t_pulse = 0.5 * math.pi / pulse_rabi
+        dt = t_pulse / rec.meta["pulse_steps"]
+        mids = dt * (np.arange(rec.meta["pulse_steps"]) + 0.5)
+
+        def pulse(beta, phase):
+            return HamiltonianSamples(z_coeff=0.5 * (delta - beta), rabi=pulse_rabi,
+                                      phase=phase)
+
+        for it, tau in enumerate(taus):
+            p = np.empty((n, 2))
+            for row in range(n):
+                psi = draw_phases(spec, it * n + row).psi
+                state = loop_propagate(ket0(), pulse(
+                    detuning_waveform_at(spec, psi, mids), 0.0), dt)
+                ends = phase_waveform_at(spec, psi, np.array([t_pulse, t_pulse + tau]))
+                rotate_z(state, delta * tau - (ends[1] - ends[0]))
+                beta = detuning_waveform_at(spec, psi, (t_pulse + tau) + mids)
+                p[row] = [population_1(loop_propagate(state, pulse(beta, phase), dt))
+                          for phase in (0.0, 0.5 * math.pi)]
+            u = 2.0 * p - 1.0
+            u_mean = u.mean(axis=0)
+            vis = np.hypot(*u_mean)
+            expect = (p[:, 0].mean(), p[:, 0].std(ddof=1) / math.sqrt(n), vis,
+                      (u @ (u_mean / vis)).std(ddof=1) / math.sqrt(n))
+            got = (rec.mean[it], rec.stderr[it], rec.visibility[it], rec.visibility_err[it])
+            assert np.max(np.abs(np.subtract(got, expect))) <= 1e-12
 
 
 def count_phasors(monkeypatch, passthrough=False):

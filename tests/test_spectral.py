@@ -209,3 +209,8 @@ class TestDbc:
     def test_rejects_bad_carrier(self):
         with pytest.raises(ValidationError):
             to_dbc(1.0, 0.0)
+
+    @pytest.mark.parametrize("carrier", [math.nan, math.inf, -2.0])
+    def test_rejects_nonfinite_or_negative_carrier(self, carrier):
+        with pytest.raises(ValidationError, match="carrier power"):
+            to_dbc(np.array([1.0, 2.0]), carrier)

@@ -207,6 +207,17 @@ class TestContinuity:
         rep = continuity_report(w, threshold=0.5)
         assert rep.max_jump_i == 1.0 and rep.flagged
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_bad_threshold_rejected(self, threshold):
+        w = to_iq(np.arange(4.0), np.zeros(4), 1.0)
+        with pytest.raises(ValidationError, match="jump threshold"):
+            continuity_report(w, threshold=threshold)
+
+    def test_zero_threshold_flags_any_jump(self):
+        w = to_iq(np.array([0.0, 0.0, 1e-9, 0.0]), np.zeros(4), 1.0)
+        assert continuity_report(w, threshold=0.0).flagged
+        assert not continuity_report(w).flagged
+
     def test_period_matched_comb_boundary(self):
         # grid snapped to whole periods: the wrap-around jump obeys the
         # derivative bound sum(amplitudes) * omega_cutoff * dt
