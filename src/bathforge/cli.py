@@ -25,7 +25,7 @@ from .config import (SPEC_KEYS, mapping_from_spec, parse_kv, serialize_kv,
 from .errors import BathforgeError, ConfigError, ValidationError, require_int
 from .filter_theory import coherence_curve, fidelity_from_chi
 from .grid import TimeGrid
-from .noise import NoiseSpec, Quadrature, analytic_psd, export_realization_csv, realize
+from .noise import NoiseSpec, analytic_psd, export_realization_csv, realize
 from .qubit import export_record_csv, rabi, ramsey
 from .spectral import estimate_psd, export_psd_csv, tooth_weights
 from .waveform import (ControlProgram, Segment, compose, continuity_report,
@@ -240,6 +240,9 @@ def _load_program(path) -> ControlProgram:
 
 
 def cmd_export(args, opts: Options, spec: NoiseSpec | None) -> list:
+    fmt = opts["format"]
+    if fmt not in ("csv", "bin", "both"):
+        raise ConfigError("format must be csv, bin or both")
     program = _load_program(opts["program"])
     rate = opts["rate"]
     if not (math.isfinite(rate) and rate > 0):
@@ -250,33 +253,28 @@ def cmd_export(args, opts: Options, spec: NoiseSpec | None) -> list:
         raise ValidationError(
             f"program of {program.duration:g} s is shorter than one sample at {rate:g} Hz")
     grid = TimeGrid(t0=0.0, dt=1.0 / rate, n=n)
-    deph = amp = None
+    real = None
     if spec is not None:
         if rate < 20.0 * spec.omega_cutoff / TWO_PI:
             raise ValidationError(
                 f"sample rate {rate:g} Hz is below 20x the highest comb tooth "
                 f"({20.0 * spec.omega_cutoff / TWO_PI:g} Hz)")
         real = realize(spec, grid, opts["realization_index"])
-        if spec.quadrature is Quadrature.DEPHASING:
-            deph = real
-        else:
-            amp = real
-    omega, phi = compose(program, grid, dephasing=deph, amplitude=amp)
+    omega, phi = compose(program, grid, real)
     wave = to_iq(omega, phi, rate)
     report = continuity_report(wave, opts["jump_threshold"] or None)
     if report.flagged:
         print(f"warning: waveform jumps exceed threshold "
               f"(dI={report.max_jump_i:g}, dQ={report.max_jump_q:g})", file=sys.stderr)
+    if fmt in ("bin", "both"):
+        # quantize first: a rejected bit depth must fail before any file is written
+        wave = quantize(wave, bits=opts["bits"])
     outputs = []
-    fmt = opts["format"]
-    if fmt not in ("csv", "bin", "both"):
-        raise ConfigError("format must be csv, bin or both")
     if fmt in ("csv", "both"):
         path = f"{opts['out']}.csv"
         export_csv(wave, path)
         outputs.append(path)
     if fmt in ("bin", "both"):
-        wave = quantize(wave, bits=opts["bits"])
         path = f"{opts['out']}.iq"
         export_binary(wave, path, header_path=f"{opts['out']}.hdr",
                       spec_hash=spec.spec_hash() if spec else "")

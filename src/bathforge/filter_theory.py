@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ValidationError
-from .noise import AnalyticComb, NoiseSpec, Quadrature, analytic_psd
+from .noise import NoiseSpec, Quadrature, analytic_psd
 
 
 @dataclass(frozen=True)
@@ -35,33 +35,14 @@ class CoherenceCurve:
     regime: str  # "linear" | "quadratic" | "mixed"
 
 
-def fid_filter(omega, tau) -> np.ndarray:
-    """Free-induction-decay filter sin^2(omega*tau/2); divide by omega^2 to weight a PSD."""
-    return np.sin(np.asarray(omega) * tau / 2.0) ** 2
-
-
-def chi_from_comb(comb: AnalyticComb, filter_values: np.ndarray) -> np.ndarray | float:
-    """Generic coherence sum (2/pi) * sum_j w_j * f_j / omega_j^2.
-
-    ``filter_values`` are the caller's filter function evaluated at the tooth
-    frequencies, shape (..., J); the sum runs over the last axis.  With the
-    FID filter this is :func:`chi_fid_comb`, since integrating delta teeth is
-    the discrete sum by construction.
-    """
-    f = np.asarray(filter_values, dtype=float)
-    if f.shape[-1:] != comb.omega.shape:
-        raise ValidationError("filter_values must match the comb teeth")
-    out = (f @ (comb.weights / comb.omega**2)) * (2.0 / np.pi)
-    return float(out) if out.ndim == 0 else out
-
-
 def chi_fid_comb(spec: NoiseSpec, tau) -> np.ndarray | float:
     """Exact free-evolution chi(tau) for a dephasing comb: the FID filter on its PSD."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("chi_fid_comb requires a dephasing spec")
     comb = analytic_psd(spec)
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = chi_from_comb(comb, fid_filter(comb.omega, tau_arr[..., None]))
+    fid = np.sin(comb.omega * tau_arr[..., None] / 2.0) ** 2
+    out = (fid @ (comb.weights / comb.omega**2)) * (2.0 / np.pi)
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 

@@ -308,10 +308,6 @@ class AnalyticComb:
     omega: np.ndarray
     weights: np.ndarray
 
-    def variance(self) -> float:
-        """C(0) implied by the comb, i.e. sum of 2*w_j/(2*pi)."""
-        return float(np.sum(self.weights) / np.pi)
-
 
 def analytic_psd(spec: NoiseSpec) -> AnalyticComb:
     """Exact delta-comb PSD of the spec.

@@ -18,7 +18,9 @@ sigma_z terms is applied in closed form through differences of the
 accumulated phase phi_N (sigma_z terms at different times commute), so it
 carries no discretization error.  The Rabi drive commutes with itself too
 (sigma_x at every step), so each trajectory is one x rotation by the
-midpoint sum of its sampled drive, theta = dt * sum_k Omega_k.
+midpoint sum of its sampled drive, theta = dt * sum_k Omega_k.  At
+alpha = 0 every realization is the same trajectory, so Ramsey and Rabi
+simulate one row and report standard errors of exactly 0.
 """
 
 from __future__ import annotations
@@ -195,8 +197,9 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
 
     Each (tau point, ensemble member) pair uses an independent phase draw,
     like repeated shots on hardware with a free-running noise source;
-    ``freeze_phases`` pins every shot to draw 0 for single-trajectory scans;
-    that one trajectory is simulated once, so its standard errors are 0.
+    ``freeze_phases`` pins every shot to draw 0 for single-trajectory scans.
+    At alpha = 0 every draw gives the same trajectory too.  Either way that
+    one trajectory is simulated once, so its standard errors are 0.
 
     Besides the fringe populations the record carries a pointwise visibility,
     the ensemble average of the 0 and 90 degree fringe quadratures, both read
@@ -219,7 +222,6 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
                            else abs(fringe_detuning))
     dt = t_pulse / n_steps
     mids = dt * (np.arange(n_steps) + 0.5)
-    noisy_pulses = noise_during_pulses and spec.alpha > 0
     # n_steps entries, so _evolve takes n_steps steps even without pulse noise
     pulse = HamiltonianSamples(z_coeff=np.full(n_steps, 0.5 * fringe_detuning),
                                rabi=pulse_rabi, phase=0.0)
@@ -229,15 +231,17 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
     se = np.empty(len(taus))
     vis = np.empty(len(taus))
     vis_se = np.empty(len(taus))
-    if freeze_phases:
+    # at alpha = 0 every realization is the same trajectory
+    frozen = freeze_phases or spec.alpha == 0
+    if frozen:
         z = phasors(draw_phase_matrix(spec, [0]))
     for it, tau in enumerate(taus):
-        if not freeze_phases:
+        if not frozen:
             # the two comb evaluations below share this block's phase trig;
             # the previous block is released before this one is drawn
             z = None
             z = phasors(draw_phase_matrix(spec, range(it * n, (it + 1) * n)))
-        if noisy_pulses:
+        if noise_during_pulses:
             # one comb call samples the noise of both pulse windows
             beta = detuning_waveform_at(spec, z,
                                         np.concatenate((mids, (t_pulse + tau) + mids)))
@@ -245,17 +249,14 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
                              for b in np.split(beta, [n_steps], axis=-1))
         states = _evolve(ket0(z.shape[0]), first, dt)
         # free evolution is exact: integral of beta_z is a phi_N difference
-        if spec.alpha > 0:
-            ends = phase_waveform_at(spec, z, np.array([t_pulse, t_pulse + tau]))
-            dphi = ends[..., 1] - ends[..., 0]
-        else:
-            dphi = 0.0
+        ends = phase_waveform_at(spec, z, np.array([t_pulse, t_pulse + tau]))
+        dphi = ends[..., 1] - ends[..., 0]
         rotate_z(states, fringe_detuning * tau - dphi)
         # U_90 = Rz(pi/2) U_0 Rz(-pi/2) and P1 ignores the final Rz; Rz(-pi/2) is
         # diag(1, -i) up to a global phase, and the product with -i is exact
         both = np.stack((states, states * [1.0, -1j]))
         p_a, p_b = population_1(_evolve(both, second, dt))
-        # statistics over the rows simulated: one row when the phases are frozen
+        # statistics over the rows simulated: one row when frozen
         mean[it], se[it] = _mean_stderr(p_a)
         u = np.stack([2 * p_a - 1, 2 * p_b - 1], axis=1)
         u_mean = u.mean(axis=0)
@@ -266,9 +267,7 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         kind="ramsey", sweep=taus, mean=mean, stderr=se,
         n_realizations=n, spec_hash=spec.spec_hash(),
         visibility=vis, visibility_err=vis_se,
-        meta={"pulse_to_min_tau": t_pulse / float(np.min(taus[taus > 0]))
-              if np.any(taus > 0) else math.inf,
-              "freeze_phases": freeze_phases, "pulse_steps": n_steps})
+        meta={"freeze_phases": freeze_phases, "pulse_steps": n_steps})
 
 
 def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
@@ -282,7 +281,8 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     both the drive rotation per step below 0.05 rad and the sample rate at
     >= 20x the highest comb tooth; pass ``dt`` to override, e.g. for
     step-refinement convergence checks.  A ``dt`` whose drive rotation per
-    step exceeds 0.05 rad is rejected.
+    step exceeds 0.05 rad is rejected.  At alpha = 0 every member is the
+    same trajectory, so it is simulated once and the standard errors are 0.
     """
     if spec.quadrature is not Quadrature.AMPLITUDE:
         raise ValidationError("rabi requires an amplitude noise spec")
@@ -297,12 +297,10 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     t_max = float(np.max(durations))
     n_steps = max(1, int(math.ceil(t_max / dt - 1e-12)))
     marks = np.clip(np.round(durations / dt).astype(int), 0, n_steps)
-    z = phasors(draw_phase_matrix(spec, range(n_realizations)))
+    # at alpha = 0 every realization is the same trajectory
+    z = phasors(draw_phase_matrix(spec, range(n_realizations if spec.alpha > 0 else 1)))
     mids = dt * (np.arange(n_steps) + 0.5)
-    if spec.alpha > 0:
-        omega = drive_rabi * (1.0 + amplitude_waveform_at(spec, z, mids))
-    else:
-        omega = np.full((1, n_steps), float(drive_rabi))
+    omega = drive_rabi * (1.0 + amplitude_waveform_at(spec, z, mids))
     if max(omega.max(), -omega.min()) * dt > _STEP_LIMIT * (1 + 1e-9):
         raise ValidationError(f"Omega*dt exceeds {_STEP_LIMIT} rad per step")
     # x rotations commute: the angle at mark k is dt times the sum of steps < k

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import ValidationError, require_int
-from .noise import NoiseRealization, NoiseSpec
+from .noise import NoiseRealization, NoiseSpec, Quadrature
 
 
 @dataclass(frozen=True)
@@ -26,13 +26,12 @@ class PsdEstimate:
 
     ``density`` is the two-sided density (units x^2 per rad/s); the mirror
     bins at negative frequency carry the same values.  ``rbw`` is the bin
-    spacing 2*pi/T and ``n_samples`` the record length behind each average.
+    spacing 2*pi/T.
     """
 
     omega: np.ndarray
     density: np.ndarray
     rbw: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def estimate_psd(realizations: Sequence[NoiseRealization]) -> PsdEstimate:
     # two-sided density: S_k = dt^2 |X_k|^2 / (2*pi*T); see module docstring
     dens = (grid.dt**2 / (2.0 * math.pi * T)) * np.mean(np.abs(X) ** 2, axis=0)
     omega = 2.0 * math.pi * np.fft.rfftfreq(n, grid.dt)
-    return PsdEstimate(omega=omega, density=dens, rbw=2.0 * math.pi / T, n_samples=n)
+    return PsdEstimate(omega=omega, density=dens, rbw=2.0 * math.pi / T)
 
 
 def tooth_weights(estimate: PsdEstimate, spec: NoiseSpec) -> np.ndarray:
@@ -123,7 +122,6 @@ def powerlaw_map_pm(p: float, quadrature) -> float:
     amplitude, shifting the observed power law to p - 2; amplitude modulation
     maps tooth amplitudes directly, leaving p unchanged.
     """
-    from .noise import Quadrature
     if quadrature is Quadrature.DEPHASING:
         return p - 2.0
     if quadrature is Quadrature.AMPLITUDE:

@@ -4,9 +4,10 @@ A control program is an ordered list of segments with constant Rabi
 amplitude and drive phase.  Each segment also has a static detuning field
 that must be 0: the phase ramp it would add is not implemented, so
 ``compose`` rejects a nonzero value instead of ignoring it.  Composition
-samples the program on a grid, folds in up to one dephasing realization
-(added to the phase) and one amplitude realization (scaling the drive), and
-yields the polar pair (Omega(t), phi(t));
+samples the program on a grid, folds in at most one noise realization, whose
+quadrature decides where it enters (a dephasing realization adds to the
+phase, an amplitude realization scales the drive), and yields the polar pair
+(Omega(t), phi(t));
 ``to_iq`` converts to the Cartesian baseband pair I = Omega cos(phi),
 Q = Omega sin(phi) that a vector signal generator consumes.
 """
@@ -72,10 +73,6 @@ class QuantizedIQ:
     full_scale: float
     snr_db: float
 
-    @property
-    def step(self) -> float:
-        return self.full_scale / 2 ** (self.bits - 1)
-
 
 @dataclass(frozen=True)
 class IQWaveform:
@@ -95,35 +92,31 @@ class IQWaveform:
 
 
 def compose(program: ControlProgram, grid: TimeGrid,
-            dephasing: Optional[NoiseRealization] = None,
-            amplitude: Optional[NoiseRealization] = None):
-    """Sample the program with noise folded in; returns (Omega, phi).
+            noise: Optional[NoiseRealization] = None):
+    """Sample the program with one noise realization folded in; returns (Omega, phi).
 
-    Dephasing noise adds its accumulated phase: phi = phi_C + phi_N.
-    Amplitude noise scales the drive: Omega = Omega_C (1 + beta).  Noise
-    realizations must be sampled on the same grid used here.  A segment with
-    a nonzero detuning is rejected.
+    The realization's quadrature decides where it enters: dephasing noise
+    adds its accumulated phase, phi = phi_C + phi_N, and amplitude noise
+    scales the drive, Omega = Omega_C (1 + beta).  The realization must be
+    sampled on the same grid used here.  A segment with a nonzero detuning
+    is rejected.
     """
     if any(seg.detuning != 0 for seg in program.segments):
         raise ValidationError("segment detuning is not implemented; it must be 0")
     t = grid.times()
     if grid.t0 < -1e-15 or grid.t0 + grid.duration > program.duration * (1 + 1e-12):
         raise ValidationError("grid extends beyond the program's end")
-    for real, name in ((dephasing, "dephasing"), (amplitude, "amplitude")):
-        if real is not None and real.grid != grid:
-            raise ValidationError(f"{name} noise grid does not match the sampling grid")
-    if dephasing is not None and dephasing.spec.quadrature is not Quadrature.DEPHASING:
-        raise ValidationError("dephasing argument must carry a dephasing realization")
-    if amplitude is not None and amplitude.spec.quadrature is not Quadrature.AMPLITUDE:
-        raise ValidationError("amplitude argument must carry an amplitude realization")
+    if noise is not None and noise.grid != grid:
+        raise ValidationError("noise grid does not match the sampling grid")
     bounds = program.boundaries()
     idx = np.clip(np.searchsorted(bounds, t, side="right") - 1, 0, len(program.segments) - 1)
     omega = np.array([s.omega_c for s in program.segments], dtype=float)[idx]
     phi = np.array([s.phi_c for s in program.segments], dtype=float)[idx]
-    if dephasing is not None:
-        phi = phi + dephasing.phi_n
-    if amplitude is not None:
-        omega = omega * (1.0 + amplitude.beta)
+    if noise is not None:
+        if noise.spec.quadrature is Quadrature.DEPHASING:
+            phi = phi + noise.phi_n
+        else:
+            omega = omega * (1.0 + noise.beta)
     return omega, phi
 
 

@@ -99,6 +99,17 @@ class TestCliRuns:
         vis = [float(r.split(",")[3]) for r in rows[2:]]
         assert all(v > 0.999 for v in vis)
 
+    def test_simulate_ramsey_zero_alpha_errors_exactly_zero(self, tmp_path, spec_file):
+        out = str(tmp_path / "ram")
+        rc = main(["simulate", "ramsey", "--spec", spec_file, "--alpha", "0",
+                   "--tau-max", "0.004", "--points", "9", "--realizations", "500",
+                   "--detuning-hz", "500", "--out", out])
+        assert rc == 0
+        rows = (tmp_path / "ram.csv").read_text().splitlines()
+        assert rows[1] == "sweep,mean,stderr,visibility,visibility_err"
+        cols = np.array([[float(v) for v in r.split(",")] for r in rows[2:]])
+        assert np.all(cols[:, 2] == 0.0) and np.all(cols[:, 4] == 0.0)
+
     def test_simulate_rabi(self, tmp_path, spec_file):
         out = str(tmp_path / "rabi")
         rc = main(["simulate", "rabi", "--spec", spec_file, "--quadrature",
@@ -301,8 +312,22 @@ class TestCliErrors:
         rc = main(["export", "--program", "prog.txt", "--rate", "8000", "--format", "both",
                    "--bits", "20", "--out", "wave"])
         assert rc == 3
-        assert (tmp_path / "wave.csv").exists()
-        assert not (tmp_path / "wave.manifest").exists()
+        # the bit depth is checked before the CSV is written, so no file appears
+        assert not list(tmp_path.glob("wave*"))
+
+    def test_bad_format_rejected_before_sampling(self, tmp_path, monkeypatch, capsys):
+        def no_realize(*args):
+            raise AssertionError("noise sampled before the format was checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("bathforge.cli.realize", no_realize)
+        (tmp_path / "white.cfg").write_text(WHITE_CFG)
+        (tmp_path / "prog.txt").write_text("0.002 250 0\n")
+        rc = main(["export", "--spec", "white.cfg", "--program", "prog.txt", "--rate",
+                   "8000", "--format", "wav", "--out", "wave"])
+        assert rc == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not list(tmp_path.glob("wave*"))
 
 
 class TestManifestReplay:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bathforge import (NoiseSpec, Quadrature, ValidationError, analytic_psd,
-                       chi_fid_comb, chi_from_comb, chi_white_analytic,
-                       coherence_curve, fid_filter, fidelity_from_chi, predicted_t2)
+                       chi_fid_comb, chi_white_analytic, coherence_curve,
+                       fidelity_from_chi, predicted_t2)
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,25 +62,24 @@ class TestChiFidComb:
         assert np.all(np.diff(chis) >= 0)
 
     def test_general_integral_consistency(self):
-        # the generic weighted-sum over the delta comb reproduces the closed
-        # sum exactly: integrating delta teeth IS the discrete sum
+        # the FID filter integrated against the delta comb is the discrete
+        # sum (2/pi) sum_j w_j sin^2(omega_j tau/2) / omega_j^2, term by term
         spec = deph(0.8, omega0_hz=3.0, teeth=40, p=-1)
         comb = analytic_psd(spec)
         for tau in (1e-3, 7e-3, 0.11):
-            via_comb = chi_from_comb(comb, fid_filter(comb.omega, tau))
-            assert via_comb == pytest.approx(chi_fid_comb(spec, tau), rel=1e-14)
-
+            direct = (2.0 / math.pi) * math.fsum(
+                w * math.sin(om * tau / 2.0) ** 2 / om**2
+                for om, w in zip(comb.omega, comb.weights))
+            assert chi_fid_comb(spec, tau) == pytest.approx(direct, rel=1e-14)
 
     def test_vectorized_filter_matches_scalar_calls(self):
-        comb = analytic_psd(deph(0.8, omega0_hz=3.0, teeth=40, p=-1))
+        spec = deph(0.8, omega0_hz=3.0, teeth=40, p=-1)
         taus = np.array([[1e-3, 7e-3, 0.11], [0.0, 0.02, 0.5]])
-        chis = chi_from_comb(comb, fid_filter(comb.omega, taus[..., None]))
+        chis = chi_fid_comb(spec, taus)
         assert chis.shape == taus.shape
         for idx, tau in np.ndenumerate(taus):
-            assert chis[idx] == pytest.approx(
-                chi_from_comb(comb, fid_filter(comb.omega, tau)), rel=1e-14, abs=0)
-        with pytest.raises(ValidationError):
-            chi_from_comb(comb, np.ones((3, 39)))
+            assert chis[idx] == pytest.approx(chi_fid_comb(spec, float(tau)),
+                                              rel=1e-14, abs=0)
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(0.01, 10.0), omega0=st.floats(0.1, 1e3),
@@ -122,7 +121,7 @@ class TestQuadraticLimit:
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1.0, omega0=1.0,
                          teeth=10, p=0)
         tau = 0.1 / spec.omega_cutoff
-        quadratic = 0.5 * analytic_psd(spec).variance() * tau**2
+        quadratic = 0.5 * np.sum(analytic_psd(spec).weights) / np.pi * tau**2
         assert chi_fid_comb(spec, tau) / quadratic == pytest.approx(1.0, abs=0.01)
 
 

@@ -1,0 +1,65 @@
+"""Guard against public names that only their own tests call."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bathforge"
+
+# Exports kept with no caller in the program: each is the oracle or estimator
+# that an acceptance criterion checks, so tests/test_acceptance.py is its caller.
+ACCEPTANCE_ORACLES = {
+    "chi_white_analytic": "criterion 3",
+    "pm_sidebands": "criteria 5 and 6",
+    "powerlaw_map_pm": "criteria 5 and 6",
+    "fit_tooth_powerlaw": "criteria 5 and 6",
+    "REFERENCE_CALIBRATION": "criterion 8",
+    "bayes_update": "criterion 8",
+    "population_from_theta": "criterion 8",
+    "simple_normalize": "criterion 8",
+    "simulate_counts": "criterion 8",
+    "uniform_prior": "criterion 8",
+}
+
+
+def exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names]
+
+
+def names_used_in_package():
+    """Every name loaded, read as an attribute or imported by a module other than
+    ``__init__``; a bare definition is not a use."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def has_caller(name, used, outside):
+    return name in used or re.search(rf"\b{re.escape(name)}\b", outside) is not None
+
+
+def test_every_export_has_a_caller():
+    used = names_used_in_package()
+    outside = "\n".join([p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+                        + [(ROOT / "README.md").read_text()])
+    names = exported_names()
+    orphans = [n for n in names if not has_caller(n, used, outside)]
+    assert sorted(set(orphans) - set(ACCEPTANCE_ORACLES)) == []
+    # the allowlist cannot go stale: each entry is exported, still has no other
+    # caller, and is exercised by the acceptance tests
+    assert sorted(set(ACCEPTANCE_ORACLES) - set(orphans)) == []
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert [n for n in ACCEPTANCE_ORACLES
+            if not re.search(rf"\b{n}\b", acceptance)] == []

@@ -18,15 +18,15 @@ def make_spec(quadrature, p, alpha=0.5, omega0=2.0, teeth=12, seed=4):
                      teeth=teeth, p=p, seed=seed)
 
 
-def total_power(est):
+def total_power(est, n):
     """Sum of density * bin width over the full two-sided set of bins.
 
     Interior bins count twice (mirror at negative frequency); DC and, for
-    even records, the unpaired Nyquist bin count once.
+    even record lengths ``n``, the unpaired Nyquist bin count once.
     """
     w = np.full(est.density.shape, 2.0)
     w[0] = 1.0
-    if est.n_samples % 2 == 0:
+    if n % 2 == 0:
         w[-1] = 1.0
     return float(np.sum(w * est.density) * est.rbw)
 
@@ -45,7 +45,7 @@ class TestEstimatePsd:
         reals = ensemble(spec, 1, periods=periods, spp=spp)
         est = estimate_psd(reals)
         var = float(np.mean(reals[0].beta**2))
-        assert total_power(est) == pytest.approx(var, rel=1e-9)
+        assert total_power(est, reals[0].grid.n) == pytest.approx(var, rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(quadrature=st.sampled_from(list(Quadrature)), p=st.floats(-2.0, 2.0),
@@ -60,7 +60,7 @@ class TestEstimatePsd:
                          teeth=teeth, p=p, seed=seed)
         grid = TimeGrid.periods_of(spec.omega0, periods, 2 * teeth + 1 + extra)
         real = realize(spec, grid, 0)
-        assert total_power(estimate_psd([real])) == pytest.approx(
+        assert total_power(estimate_psd([real]), grid.n) == pytest.approx(
             float(np.var(real.beta)), rel=1e-9)
 
     def test_positive_half_is_half_variance(self):
@@ -122,9 +122,10 @@ class TestEstimatePsd:
         # averaged total power approaches C(0) (it is exact per realization
         # up to cross terms that vanish with averaging)
         spec = make_spec(Quadrature.DEPHASING, p=-1, alpha=0.4, teeth=10)
-        est = estimate_psd(ensemble(spec, 50))
+        reals = ensemble(spec, 50)
+        est = estimate_psd(reals)
         c0 = float(np.sum(0.5 * spec.tooth_amplitudes() ** 2))  # C(0) of the comb
-        assert total_power(est) == pytest.approx(c0, rel=0.05)
+        assert total_power(est, reals[0].grid.n) == pytest.approx(c0, rel=0.05)
 
 
 class TestPmSidebands:
