@@ -26,6 +26,21 @@ and pays for cos and sin of the block once.  On the time side every tooth is
 a harmonic of ``omega0``: the table ``e^{i j omega0 t}`` is built from one
 transform ``e^{i omega0 t}`` per sample by complex doubling, in blocks of
 ``_TIME_BLOCK`` samples, and each block costs one complex matrix product.
+
+Phase stream.  Row ``(seed, i)`` of every draw is numpy's stable stream
+(NEP 19): ``default_rng(SeedSequence(seed, spawn_key=(i,))).uniform(0, 2*pi, J)``,
+bit for bit, for seeds and indices in [0, 2**64 - 1].  :func:`draw_phase_matrix`
+computes it without a SeedSequence or Generator per row:
+
+1. Pool: the seed's two little-endian 32-bit words, zero-padded to 4, are
+   hashed into a 4-word pool and cross-mixed; then the index's low word, and
+   its high word when nonzero, are mixed into every pool word.  This is
+   SeedSequence's uint32 hash, run on all rows at once.
+2. State: ``generate_state(4, uint64)`` gives ``w0..w3``; with
+   ``inc = (w2 << 64 | w3) << 1 | 1`` the PCG64 state is
+   ``((inc + (w0 << 64 | w1)) * M + inc) mod 2**128``, as PCG64 seeds itself.
+3. Phases: ``psi_j = (raw_j >> 11) * (2*pi * 2**-53)`` for the first J raw
+   64-bit outputs of that PCG64, which is exactly ``uniform(0, 2*pi)``.
 """
 
 from __future__ import annotations
@@ -42,7 +57,15 @@ import numpy as np
 from .errors import AmplitudeRangeWarning, NyquistError, ValidationError, require_int
 from .grid import TimeGrid
 
-_MAX_SEED = 2**64 - 1
+_MAX_U64 = 2**64 - 1
+# numpy SeedSequence's hash constants (pool of 4 uint32 words) and PCG64's multiplier
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+_UNIT_PHASE = 2.0 * math.pi * 2.0**-53
 # times per harmonic table in _comb_eval: (750, 256) complex is 3 MB
 _TIME_BLOCK = 256
 
@@ -95,7 +118,7 @@ class NoiseSpec:
             raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.p is not None and not math.isfinite(self.p):
             raise ValidationError(f"p must be finite, got {self.p}")
-        require_int("seed", self.seed, 0, _MAX_SEED)
+        require_int("seed", self.seed, 0, _MAX_U64)
         if (self.p is None) == (self.envelope is None):
             raise ValidationError("exactly one of p or envelope must be given")
         if self.envelope is not None:
@@ -144,6 +167,7 @@ class PhaseDraw:
     realization_index: int = 0
 
     def __post_init__(self):
+        require_int("realization_index", self.realization_index, 0, _MAX_U64)
         psi = np.asarray(self.psi, dtype=float)
         object.__setattr__(self, "psi", psi)
         if psi.ndim != 1:
@@ -189,17 +213,66 @@ def draw_phases(spec: NoiseSpec, realization_index: int) -> PhaseDraw:
     statistically independent and any subset can be generated in any order,
     on any number of workers, with identical results.
     """
-    if realization_index < 0:
-        raise ValidationError("realization_index must be >= 0")
-    ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(realization_index,))
-    rng = np.random.default_rng(ss)
-    psi = rng.uniform(0.0, 2.0 * np.pi, spec.teeth)
+    psi = draw_phase_matrix(spec, [realization_index])[0]
     return PhaseDraw(psi=psi, realization_index=realization_index)
 
 
 def draw_phase_matrix(spec: NoiseSpec, indices: Sequence[int]) -> np.ndarray:
-    """Stack of phase vectors, shape (len(indices), J), one row per index."""
-    return np.stack([draw_phases(spec, int(i)).psi for i in indices])
+    """Stack of phase vectors, shape (len(indices), J), one row per index.
+
+    Each row is the stream defined in the module docstring.  One pass seeds
+    every row; one PCG64 is then set to each row's state in turn.
+    """
+    indices = list(indices)
+    for i in indices:
+        require_int("realization_index", i, 0, _MAX_U64)
+    raw = np.empty((len(indices), spec.teeth), dtype=np.uint64)
+    bitgen = np.random.PCG64(0)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for row, (w0, w1, w2, w3) in zip(raw, _spawn_states(spec.seed, indices).tolist()):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state["state"] = {"state": ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128,
+                          "inc": inc}
+        bitgen.state = state
+        row[:] = bitgen.random_raw(spec.teeth)
+    raw >>= np.uint64(11)
+    # in place: each float overwrites the word it is computed from
+    return np.multiply(raw, _UNIT_PHASE, out=raw.view(float))
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash: xor the constant, step it by ``mult``, multiply, fold."""
+    def hashed(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+    return hashed
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> 16
+
+
+def _spawn_states(seed: int, indices: list) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` per index, (n, 4)."""
+    index = np.array(indices, dtype=np.uint64)
+    lo = (index & 0xFFFFFFFF).astype(np.uint32)
+    hi = (index >> 32).astype(np.uint32)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(np.full(1, w, np.uint32)) for w in (seed & 0xFFFFFFFF, seed >> 32, 0, 0)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        pool = [_mix(p, hashmix(lo)) for p in pool]
+        pool = [np.where(hi > 0, _mix(p, hashmix(hi)), p) for p in pool]
+        hashed = _hasher(_INIT_B, _MULT_B)
+        words = np.stack([hashed(pool[k % _POOL]) for k in range(2 * _POOL)], axis=-1)
+    return words.astype("<u4").view("<u8")
 
 
 def phasors(psi: np.ndarray) -> np.ndarray:

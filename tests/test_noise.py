@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bathforge import (AmplitudeRangeWarning, NoiseSpec, NyquistError, Quadrature,
-                       TimeGrid, ValidationError, analytic_psd, draw_phases,
+from bathforge import (AmplitudeRangeWarning, NoiseSpec, NyquistError, PhaseDraw,
+                       Quadrature, TimeGrid, ValidationError, analytic_psd, draw_phases,
                        envelope_values, realize)
 from bathforge import noise
 from bathforge.noise import (amplitude_waveform_at, detuning_waveform_at,
@@ -203,6 +203,68 @@ class TestDrawPhases:
         psis = draw_phase_matrix(spec, range(100_000))[:, 0]
         sigma = 1.0 / math.sqrt(2 * 100_000)
         assert abs(np.mean(np.cos(psis))) < 3 * sigma
+
+
+def numpy_stream(seed, index, teeth):
+    """numpy's own Generator draw for one row: the stream definition, bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    return rng.uniform(0.0, TWO_PI, teeth)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestPhaseStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_matches_numpy_generator(self, seed):
+        spec = white_dephasing(teeth=13, seed=seed)
+        indices = [0, 2**32 - 1, 2**32, 2**64 - 1]
+        want = np.stack([numpy_stream(seed, i, spec.teeth) for i in indices])
+        assert np.array_equal(bits(draw_phase_matrix(spec, indices)), bits(want))
+        for i, row in zip(indices, want):
+            assert np.array_equal(bits(draw_phases(spec, i).psi), bits(row))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           indices=st.lists(st.integers(0, 2**64 - 1), max_size=6),
+           teeth=st.integers(1, 20))
+    def test_matches_numpy_generator_property(self, seed, indices, teeth):
+        spec = white_dephasing(teeth=teeth, seed=seed)
+        got = draw_phase_matrix(spec, indices)
+        assert got.shape == (len(indices), teeth)
+        for i, row in zip(indices, got):
+            assert np.array_equal(bits(row), bits(numpy_stream(seed, i, teeth)))
+
+    def test_no_seed_sequence_or_generator_per_row(self, monkeypatch):
+        spec = white_dephasing(teeth=16, seed=5)
+        want = draw_phase_matrix(spec, range(500))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SeedSequence or Generator was built")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert np.array_equal(draw_phase_matrix(spec, range(500)), want)
+
+    def test_empty_block(self):
+        assert draw_phase_matrix(white_dephasing(teeth=7), []).shape == (0, 7)
+
+    @pytest.mark.parametrize("index", [1.7, 1.0, True, np.bool_(True), -1, 2**64, 2**70])
+    def test_bad_index_rejected(self, index):
+        spec = white_dephasing()
+        with pytest.raises(ValidationError, match="realization_index"):
+            draw_phase_matrix(spec, [0, index])
+        with pytest.raises(ValidationError, match="realization_index"):
+            draw_phases(spec, index)
+        with pytest.raises(ValidationError, match="realization_index"):
+            PhaseDraw(psi=np.zeros(3), realization_index=index)
+
+    def test_numpy_integer_indices_accepted(self):
+        spec = white_dephasing()
+        rows = draw_phase_matrix(spec, np.arange(3, dtype=np.int64))
+        assert np.array_equal(rows, draw_phase_matrix(spec, [0, 1, 2]))
+        assert np.array_equal(draw_phases(spec, np.uint64(2)).psi, rows[2])
 
 
 class TestWaveforms:
