@@ -23,9 +23,23 @@ The ``*_waveform_at`` evaluators take the phases ``psi`` or their phasors.
 The phase trig dominates when many draws are evaluated at few times, so a
 caller that evaluates one draw block more than once passes ``phasors(psi)``
 and pays for cos and sin of the block once.  On the time side every tooth is
-a harmonic of ``omega0``: the table ``e^{i j omega0 t}`` is built from one
-transform ``e^{i omega0 t}`` per sample by complex doubling, in blocks of
-``_TIME_BLOCK`` samples, and each block costs one complex matrix product.
+a harmonic of ``omega0``: a table ``e^{i j omega0 t}`` is built from one
+transform ``e^{i omega0 t}`` per time by complex doubling.  The evaluators
+take arbitrary times, in blocks of ``_TIME_BLOCK`` with one complex product
+each.  :func:`realize` samples a uniform grid by block shift instead: with
+``B = min(_TIME_BLOCK, n)``, sample ``k = q*B + r`` sits at
+``s_q + r*dt`` with ``s_q = t0 + q*B*dt``, and
+
+    e^{i j omega0 t_k} = e^{i j omega0 s_q} * e^{i j omega0 r dt}.
+
+So one (J, B) table of the offsets serves every block, and the (Q, J) table
+of the ``Q = ceil(n/B)`` starts is folded into the coefficient rows.  A
+record of up to ``_TIME_BLOCK**2`` samples with k coefficient rows is then
+one (k*Q, J) @ (J, B) product (longer records take one product per
+``_TIME_BLOCK`` starts, which bounds the tables), and J teeth on n samples
+transform ``J + B + Q`` values.  A dephasing spec samples beta and phi_N
+from the same product, as the two rows ``a_j z_j`` and
+``-i alpha F(j) z_j``, because ``Re(-i w) = Im w``.
 
 Phase stream.  Row ``(seed, i)`` of every draw is numpy's stable stream
 (NEP 19): ``default_rng(SeedSequence(seed, spawn_key=(i,))).uniform(0, 2*pi, J)``,
@@ -302,23 +316,40 @@ def _harmonics(omega0: float, times: np.ndarray, teeth: int) -> np.ndarray:
 
 
 def _comb_eval(times: np.ndarray, omega0: float, amps: np.ndarray,
-               z: np.ndarray, kind: str) -> np.ndarray:
-    """Evaluate ``sum_j amps[j] * trig(j*omega0*t + psi[..., j])`` on ``times``.
+               z: np.ndarray, kind: str, starts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Evaluate ``sum_j amps[..., j] * trig(j*omega0*t + psi[..., j])`` on ``times``.
 
     ``z`` holds the phasors ``e^{i psi}``, (J,) for a single draw or (n, J)
     for a batch; real phases ``psi`` are converted here.  The sum is the real
     (``"cos"``) or imaginary (``"sin"``) part of ``(amps * z) @ harmonics``,
     taken over blocks of ``_TIME_BLOCK`` times so the harmonic table stays
     small.
+
+    With ``starts`` the times are ``starts[q] + times[r]``, start-major, and
+    the output runs over all of them.  Since ``e^{i j omega0 (s + r)} =
+    e^{i j omega0 s} e^{i j omega0 r}``, the start table is folded into the
+    coefficient rows and one offset table serves every start: each run of
+    ``_TIME_BLOCK`` starts is one product of its rows with that table.
     """
     z = z if np.iscomplexobj(z) else phasors(z)
     times = np.asarray(times, dtype=float)
     c = amps * z
+    teeth = c.shape[-1]
     part = np.real if kind == "cos" else np.imag
+    if starts is not None:
+        table = _harmonics(omega0, times, teeth)
+        out = np.empty(c.shape[:-1] + (starts.size, times.size))
+        for first in range(0, starts.size, _TIME_BLOCK):
+            run = slice(first, first + _TIME_BLOCK)
+            rows = c[..., None, :] * _harmonics(omega0, starts[run], teeth).T
+            # one 2-d product over every coefficient row is faster than a stacked one
+            out[..., run, :] = part(rows.reshape(-1, teeth) @ table).reshape(
+                rows.shape[:-1] + times.shape)
+        return out.reshape(c.shape[:-1] + (-1,))
     out = np.empty(c.shape[:-1] + times.shape)
     for start in range(0, times.size, _TIME_BLOCK):
         block = slice(start, start + _TIME_BLOCK)
-        out[..., block] = part(c @ _harmonics(omega0, times[block], len(amps)))
+        out[..., block] = part(c @ _harmonics(omega0, times[block], teeth))
     return out
 
 
@@ -340,31 +371,45 @@ def amplitude_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -
     """beta_Omega at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.AMPLITUDE:
         raise ValidationError("amplitude waveform is defined for amplitude specs only")
+    return _comb_eval(times, spec.omega0, _drive_amplitudes(spec), psi, "cos")
+
+
+def _drive_amplitudes(spec: NoiseSpec) -> np.ndarray:
+    """Tooth amplitudes of an amplitude spec; warns (at the caller's caller) when
+    ``1 + beta_Omega`` can go negative."""
     amps = spec.tooth_amplitudes()
     total = np.sum(np.abs(amps))
     if total >= 1.0:
         warnings.warn(
             f"sum_j |a_j| = {total:.3g} >= 1: the modulated field amplitude "
-            "can go negative", AmplitudeRangeWarning, stacklevel=2)
-    return _comb_eval(times, spec.omega0, amps, psi, "cos")
+            "can go negative", AmplitudeRangeWarning, stacklevel=3)
+    return amps
 
 
 def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRealization:
-    """Draw phases for one ensemble member and sample its waveforms on the grid."""
+    """Draw phases for one ensemble member and sample its waveforms on the grid.
+
+    One comb call samples the whole grid by block shift, beta and phi_N
+    together for a dephasing spec (see the module docstring).
+    """
     limit = math.pi / spec.omega_cutoff
     if grid.dt > limit:
         raise NyquistError(
             f"grid dt={grid.dt:g} s exceeds the Nyquist limit pi/(J*omega0)={limit:g} s "
             f"for the highest comb tooth")
     draw = draw_phases(spec, realization_index)
-    z = phasors(draw.psi)
-    t = grid.times()
     if spec.quadrature is Quadrature.DEPHASING:
-        return NoiseRealization(spec=spec, draw=draw, grid=grid,
-                                beta=detuning_waveform_at(spec, z, t),
-                                phi_n=phase_waveform_at(spec, z, t))
-    return NoiseRealization(spec=spec, draw=draw, grid=grid,
-                            beta=amplitude_waveform_at(spec, z, t))
+        # phi_N's sine sum is the real part of its row times -i
+        amps = np.stack([spec.tooth_amplitudes(), -1j * spec.alpha * spec.envelope_table()])
+    else:
+        amps = _drive_amplitudes(spec)
+    block = min(_TIME_BLOCK, grid.n)
+    starts = grid.t0 + grid.dt * np.arange(0, grid.n, block)
+    waves = _comb_eval(grid.dt * np.arange(block), spec.omega0, amps, draw.psi, "cos",
+                       starts)[..., :grid.n]
+    if spec.quadrature is Quadrature.DEPHASING:
+        return NoiseRealization(spec=spec, draw=draw, grid=grid, beta=waves[0], phi_n=waves[1])
+    return NoiseRealization(spec=spec, draw=draw, grid=grid, beta=waves)
 
 
 @dataclass(frozen=True)

@@ -350,8 +350,12 @@ class TestWaveforms:
     def test_amplitude_overdrive_warning(self):
         spec = white_amplitude(alpha=0.2, teeth=8)  # alpha * sum|F| = 1.6
         grid = TimeGrid(0.0, 0.01, 16)
-        with pytest.warns(AmplitudeRangeWarning):
-            realize(spec, grid, 0)
+        for sample in (lambda: realize(spec, grid, 0),
+                       lambda: amplitude_waveform_at(spec, np.zeros(8), grid.times())):
+            with pytest.warns(AmplitudeRangeWarning) as caught:
+                sample()
+            # one warning, attributed to the code that asked for the waveform
+            assert [w.filename for w in caught] == [__file__]
 
     def test_amplitude_variance_over_period(self):
         # white amplitude comb: variance over one period is alpha^2 * J / 2
@@ -478,8 +482,52 @@ class TestCombAgainstLongDouble:
                 assert float(np.max(np.abs(out - expect))) <= tol, (evaluate.__name__, rows)
 
 
+class TestRealizeAgainstLongDouble:
+    """``realize`` against the long-double direct sum at the grid's exact times.
+
+    n crosses the time block of the shifted evaluation and reaches the CLI's
+    record lengths; dt is the CLI's record spacing (whole base periods at
+    4J + 1 samples per period) or its export spacing 1/rate, with the rate
+    at 20 times the top tooth; t0 is 0 or not a multiple of dt.
+    """
+
+    OMEGA0, RATE = TWO_PI * 30.0, 60_000.0
+
+    def check(self, grid, teeth):
+        times = np.longdouble(grid.t0) + np.longdouble(grid.dt) * np.arange(grid.n)
+        deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1.3, omega0=self.OMEGA0,
+                         teeth=teeth, p=-1.0, seed=grid.n)
+        amp = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.5 / teeth,
+                        omega0=self.OMEGA0, teeth=teeth, p=-1.0, seed=grid.n)
+        real_d, real_a = realize(deph, grid, 5), realize(amp, grid, 5)
+        assert real_a.phi_n is None
+        cases = ((real_d.beta, deph, deph.tooth_amplitudes(), np.cos),
+                 (real_d.phi_n, deph, deph.alpha * deph.envelope_table(), np.sin),
+                 (real_a.beta, amp, amp.tooth_amplitudes(), np.cos))
+        for out, spec, amps, trig in cases:
+            ref = _longdouble_comb(self.OMEGA0, amps, draw_phases(spec, 5).psi, times, trig)
+            assert out.shape == (grid.n,)
+            assert float(np.max(np.abs(out - ref))) <= 1e-12 * float(np.sum(np.abs(amps)))
+
+    @pytest.mark.parametrize("t0", [0.0, 0.37])
+    @pytest.mark.parametrize("spacing", ["periods", "rate"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 3001, 12004])
+    def test_within_1e12_of_amplitude_sum(self, n, spacing, t0):
+        teeth = 100
+        dt = (TimeGrid.periods_of(self.OMEGA0, 1, 4 * teeth + 1).dt
+              if spacing == "periods" else 1.0 / self.RATE)
+        self.check(TimeGrid(t0, dt, n), teeth)
+
+    def test_record_longer_than_one_run_of_starts(self):
+        # starts are folded in runs of _TIME_BLOCK; this record ends two samples
+        # into a second run's second block
+        block = noise._TIME_BLOCK
+        self.check(TimeGrid(0.37, 1.0 / self.RATE, block * block + block + 2), teeth=3)
+
+
 def test_one_transform_per_time_sample(monkeypatch):
-    # phases once, plus one row of e^{i omega0 t} per evaluator: no J x m trig table
+    # phases once, the block offsets once and each block start once, shared by
+    # beta and phi_N: no J x m trig table
     spec = white_dephasing(omega0=TWO_PI * 50.0, teeth=750, seed=3)
     grid = TimeGrid.periods_of(spec.omega0, 1, 3001)
     transformed = []
@@ -491,7 +539,7 @@ def test_one_transform_per_time_sample(monkeypatch):
 
     monkeypatch.setattr(noise, "phasors", counting)
     realize(spec, grid, 0)
-    assert sum(transformed) == 750 + 2 * 3001
+    assert sum(transformed) == 750 + 256 + math.ceil(3001 / 256)
 
 
 class TestRealizationInvariants:
@@ -508,18 +556,6 @@ class TestRealizationInvariants:
         real = realize(spec, grid, 0)
         assert np.mean(real.beta**2) == pytest.approx(
             analytic_autocorrelation(spec, 0.0), rel=1e-9)
-
-    def test_realize_samples_evaluators_on_grid(self):
-        grid = TimeGrid(0.1, 0.05, 32)
-        for spec in (white_dephasing(seed=4), white_amplitude(seed=4)):
-            real = realize(spec, grid, 2)
-            psi, t = draw_phases(spec, 2).psi, grid.times()
-            if spec.quadrature is Quadrature.DEPHASING:
-                assert np.array_equal(real.beta, detuning_waveform_at(spec, psi, t))
-                assert np.array_equal(real.phi_n, phase_waveform_at(spec, psi, t))
-            else:
-                assert np.array_equal(real.beta, amplitude_waveform_at(spec, psi, t))
-                assert real.phi_n is None
 
     def test_bit_identical_realizations(self):
         spec = white_dephasing(seed=21)
