@@ -1,7 +1,9 @@
-"""Exception and warning types shared across the package, and the shared check
-for integer parameters at the API boundary."""
+"""Exception and warning types shared across the package, and the shared checks
+for integer parameters and sweeps at the API boundary."""
 
 import numbers
+
+import numpy as np
 
 
 class BathforgeError(Exception):
@@ -44,3 +46,11 @@ def require_int(name: str, value, low: int, high: int | None = None) -> None:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise ValidationError(f"{name} must be in [{low}, {high}], got {value}")
+
+
+def require_sweep(name: str, values) -> np.ndarray:
+    """A non-empty sweep of finite values >= 0 as a float array."""
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValidationError(f"{name} must be a non-empty list of finite values >= 0")
+    return arr

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ValidationError
+from .errors import ValidationError, require_sweep
 from .noise import NoiseSpec, Quadrature, analytic_psd
 
 
@@ -103,9 +103,7 @@ def predicted_t2(spec: NoiseSpec) -> float:
 
 def coherence_curve(spec: NoiseSpec, tau: np.ndarray) -> CoherenceCurve:
     """chi over a grid, annotated linear/quadratic/mixed by simple heuristics."""
-    tau = np.asarray(tau, dtype=float)
-    if tau.size == 0 or not np.all(np.isfinite(tau)) or np.any(tau < 0):
-        raise ValidationError("tau must be a non-empty array of finite values >= 0")
+    tau = require_sweep("tau", tau)
     chi = chi_fid_comb(spec, tau)
     if spec.omega_cutoff * float(np.max(tau)) <= 0.5:
         regime = "quadratic"

@@ -19,27 +19,26 @@ weight ``(pi/2) a_j**2``.  For ``S(j*omega0) ~ (j*omega0)**p`` the envelopes
 are ``F(j) = j**(p/2 - 1)`` (dephasing) and ``F(j) = j**(p/2)`` (amplitude),
 so ``a_j ~ j**(p/2)`` in both quadratures.
 
-The ``*_waveform_at`` evaluators take the phases ``psi`` or their phasors.
-The phase trig dominates when many draws are evaluated at few times, so a
-caller that evaluates one draw block more than once passes ``phasors(psi)``
-and pays for cos and sin of the block once.  On the time side every tooth is
-a harmonic of ``omega0``: a table ``e^{i j omega0 t}`` is built from one
-transform ``e^{i omega0 t}`` per time by complex doubling.  The evaluators
-take arbitrary times, in blocks of ``_TIME_BLOCK`` with one complex product
-each.  :func:`realize` samples a uniform grid by block shift instead: with
-``B = min(_TIME_BLOCK, n)``, sample ``k = q*B + r`` sits at
-``s_q + r*dt`` with ``s_q = t0 + q*B*dt``, and
+Every waveform is the real part ``Re sum_j c_j e^{i j omega0 t}`` of
+coefficient rows ``c_j = b_j z_j``: ``b_j = a_j`` for beta, and
+``b_j = -i alpha F(j)`` for phi_N, whose sine sum is the real part of a row
+times ``-i`` (:func:`realize` and :func:`phase_waveform_at` share that row).
+The times are block starts plus in-block offsets, ``s_q + r``, start-major.
+Every tooth is a harmonic of ``omega0``, so a table ``e^{i j omega0 t}`` is
+built from one transform ``e^{i omega0 t}`` per time by complex doubling, and
+``e^{i j omega0 (s_q + r)} = e^{i j omega0 s_q} e^{i j omega0 r}``: each run
+of ``_TIME_BLOCK`` starts is folded into the rows, and each block of
+``_TIME_BLOCK`` offsets takes one product with its table.
 
-    e^{i j omega0 t_k} = e^{i j omega0 s_q} * e^{i j omega0 r dt}.
-
-So one (J, B) table of the offsets serves every block, and the (Q, J) table
-of the ``Q = ceil(n/B)`` starts is folded into the coefficient rows.  A
-record of up to ``_TIME_BLOCK**2`` samples with k coefficient rows is then
-one (k*Q, J) @ (J, B) product (longer records take one product per
-``_TIME_BLOCK`` starts, which bounds the tables), and J teeth on n samples
-transform ``J + B + Q`` values.  A dephasing spec samples beta and phi_N
-from the same product, as the two rows ``a_j z_j`` and
-``-i alpha F(j) z_j``, because ``Re(-i w) = Im w``.
+The ``*_waveform_at`` evaluators pass arbitrary times as the offsets and no
+starts, so their rows are the coefficients themselves.  They take the phases
+``psi`` or their phasors; a caller that evaluates one draw block more than
+once passes ``phasors(psi)`` and pays for cos and sin of the block once.
+:func:`realize` samples a uniform grid by block shift: offsets ``r*dt`` for
+``r < B = min(_TIME_BLOCK, n)`` and ``Q = ceil(n/B)`` starts ``t0 + q*B*dt``.
+A record of up to ``_TIME_BLOCK**2`` samples with k rows is then one
+(k*Q, J) @ (J, B) product, and J teeth on n samples transform ``J + B + Q``
+values; beta and phi_N of a dephasing spec are two rows of that product.
 
 Phase stream.  Row ``(seed, i)`` of every draw is numpy's stable stream
 (NEP 19): ``default_rng(SeedSequence(seed, spawn_key=(i,))).uniform(0, 2*pi, J)``,
@@ -315,63 +314,63 @@ def _harmonics(omega0: float, times: np.ndarray, teeth: int) -> np.ndarray:
     return h
 
 
-def _comb_eval(times: np.ndarray, omega0: float, amps: np.ndarray,
-               z: np.ndarray, kind: str, starts: Optional[np.ndarray] = None) -> np.ndarray:
-    """Evaluate ``sum_j amps[..., j] * trig(j*omega0*t + psi[..., j])`` on ``times``.
+def _comb_eval(times: np.ndarray, omega0: float, c: np.ndarray,
+               starts: Optional[np.ndarray] = None) -> np.ndarray:
+    """``Re sum_j c[..., j] e^{i j omega0 t}`` at ``t = starts[q] + times[r]``, start-major.
 
-    ``z`` holds the phasors ``e^{i psi}``, (J,) for a single draw or (n, J)
-    for a batch; real phases ``psi`` are converted here.  The sum is the real
-    (``"cos"``) or imaginary (``"sin"``) part of ``(amps * z) @ harmonics``,
-    taken over blocks of ``_TIME_BLOCK`` times so the harmonic table stays
-    small.
-
-    With ``starts`` the times are ``starts[q] + times[r]``, start-major, and
-    the output runs over all of them.  Since ``e^{i j omega0 (s + r)} =
-    e^{i j omega0 s} e^{i j omega0 r}``, the start table is folded into the
-    coefficient rows and one offset table serves every start: each run of
-    ``_TIME_BLOCK`` starts is one product of its rows with that table.
+    ``c`` holds coefficient rows, (J,) or (..., J).  Without ``starts`` the
+    times are ``times`` and the rows are ``c``; with them, each run of
+    ``_TIME_BLOCK`` starts is folded into the rows (see the module docstring).
     """
-    z = z if np.iscomplexobj(z) else phasors(z)
     times = np.asarray(times, dtype=float)
-    c = amps * z
     teeth = c.shape[-1]
-    part = np.real if kind == "cos" else np.imag
-    if starts is not None:
-        table = _harmonics(omega0, times, teeth)
-        out = np.empty(c.shape[:-1] + (starts.size, times.size))
-        for first in range(0, starts.size, _TIME_BLOCK):
+    n_starts = 1 if starts is None else starts.size
+    out = np.empty(c.shape[:-1] + (n_starts * times.size,))
+    # written through a start-major view; the caller gets the array that owns
+    # the data, so numpy can reuse it for temporaries such as ``1.0 + out``
+    by_start = out.reshape(c.shape[:-1] + (n_starts, times.size))
+    for first_t in range(0, times.size, _TIME_BLOCK):
+        block = slice(first_t, first_t + _TIME_BLOCK)
+        table = _harmonics(omega0, times[block], teeth)
+        for first in range(0, n_starts, _TIME_BLOCK):
             run = slice(first, first + _TIME_BLOCK)
-            rows = c[..., None, :] * _harmonics(omega0, starts[run], teeth).T
+            rows = c[..., None, :] if starts is None else (
+                c[..., None, :] * _harmonics(omega0, starts[run], teeth).T)
             # one 2-d product over every coefficient row is faster than a stacked one
-            out[..., run, :] = part(rows.reshape(-1, teeth) @ table).reshape(
-                rows.shape[:-1] + times.shape)
-        return out.reshape(c.shape[:-1] + (-1,))
-    out = np.empty(c.shape[:-1] + times.shape)
-    for start in range(0, times.size, _TIME_BLOCK):
-        block = slice(start, start + _TIME_BLOCK)
-        out[..., block] = part(c @ _harmonics(omega0, times[block], teeth))
+            by_start[..., run, block] = (rows.reshape(-1, teeth) @ table).real.reshape(
+                rows.shape[:-1] + (-1,))
     return out
+
+
+def _coefficients(amps: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Coefficient rows ``amps * e^{i psi}`` of a draw or block, from phases or phasors."""
+    return amps * (psi if np.iscomplexobj(psi) else phasors(psi))
+
+
+def _phase_amplitudes(spec: NoiseSpec) -> np.ndarray:
+    """``-i alpha F(j)``: phi_N's sine sum is the real part of this row times ``z_j``."""
+    return -1j * spec.alpha * spec.envelope_table()
 
 
 def phase_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """phi_N evaluated at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("phase waveform is defined for dephasing specs only")
-    return spec.alpha * _comb_eval(times, spec.omega0, spec.envelope_table(), psi, "sin")
+    return _comb_eval(times, spec.omega0, _coefficients(_phase_amplitudes(spec), psi))
 
 
 def detuning_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """beta_z = d(phi_N)/dt in rad/s at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("detuning waveform is defined for dephasing specs only")
-    return _comb_eval(times, spec.omega0, spec.tooth_amplitudes(), psi, "cos")
+    return _comb_eval(times, spec.omega0, _coefficients(spec.tooth_amplitudes(), psi))
 
 
 def amplitude_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """beta_Omega at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.AMPLITUDE:
         raise ValidationError("amplitude waveform is defined for amplitude specs only")
-    return _comb_eval(times, spec.omega0, _drive_amplitudes(spec), psi, "cos")
+    return _comb_eval(times, spec.omega0, _coefficients(_drive_amplitudes(spec), psi))
 
 
 def _drive_amplitudes(spec: NoiseSpec) -> np.ndarray:
@@ -399,14 +398,13 @@ def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRea
             f"for the highest comb tooth")
     draw = draw_phases(spec, realization_index)
     if spec.quadrature is Quadrature.DEPHASING:
-        # phi_N's sine sum is the real part of its row times -i
-        amps = np.stack([spec.tooth_amplitudes(), -1j * spec.alpha * spec.envelope_table()])
+        amps = np.stack([spec.tooth_amplitudes(), _phase_amplitudes(spec)])
     else:
         amps = _drive_amplitudes(spec)
     block = min(_TIME_BLOCK, grid.n)
     starts = grid.t0 + grid.dt * np.arange(0, grid.n, block)
-    waves = _comb_eval(grid.dt * np.arange(block), spec.omega0, amps, draw.psi, "cos",
-                       starts)[..., :grid.n]
+    waves = _comb_eval(grid.dt * np.arange(block), spec.omega0,
+                       _coefficients(amps, draw.psi), starts)[..., :grid.n]
     if spec.quadrature is Quadrature.DEPHASING:
         return NoiseRealization(spec=spec, draw=draw, grid=grid, beta=waves[0], phi_n=waves[1])
     return NoiseRealization(spec=spec, draw=draw, grid=grid, beta=waves)

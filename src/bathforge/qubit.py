@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, require_int
+from .errors import ValidationError, require_int, require_sweep
 from .noise import (NoiseSpec, Quadrature, amplitude_waveform_at,
                     detuning_waveform_at, draw_phase_matrix, phase_waveform_at, phasors)
 
@@ -168,14 +168,6 @@ def _require_positive(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
 
-def _sweep(name: str, values: Sequence[float]) -> np.ndarray:
-    """A non-empty sweep of finite values >= 0 as a float array."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ValidationError(f"{name} must be a non-empty list of finite values >= 0")
-    return arr
-
-
 def _mean_stderr(p: np.ndarray):
     """Mean and standard error over axis 0; the error is exactly 0 for one row."""
     rows = len(p)
@@ -185,8 +177,7 @@ def _mean_stderr(p: np.ndarray):
 
 def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
            taus: Sequence[float], n_realizations: int,
-           noise_during_pulses: bool = True,
-           freeze_phases: bool = False) -> ExperimentRecord:
+           noise_during_pulses: bool = True) -> ExperimentRecord:
     """Ramsey fringes under engineered dephasing noise.
 
     Protocol per realization: pi/2 drive about x, free evolution for tau
@@ -196,10 +187,10 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
     final state; the per-point scatter is purely the noise ensemble's.
 
     Each (tau point, ensemble member) pair uses an independent phase draw,
-    like repeated shots on hardware with a free-running noise source;
-    ``freeze_phases`` pins every shot to draw 0 for single-trajectory scans.
-    At alpha = 0 every draw gives the same trajectory too.  Either way that
-    one trajectory is simulated once, so its standard errors are 0.
+    like repeated shots on hardware with a free-running noise source.  At
+    alpha = 0 every draw gives the same trajectory, so that one trajectory
+    is simulated once and its standard errors are 0; ``meta["freeze_phases"]``
+    records whether it was (``spec.alpha == 0``).
 
     Besides the fringe populations the record carries a pointwise visibility,
     the ensemble average of the 0 and 90 degree fringe quadratures, both read
@@ -209,7 +200,7 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         raise ValidationError("ramsey requires a dephasing noise spec")
     require_int("n_realizations", n_realizations, 1)
     _require_positive("pulse_rabi", pulse_rabi)
-    taus = _sweep("taus", taus)
+    taus = require_sweep("taus", taus)
     if not math.isfinite(fringe_detuning):
         raise ValidationError(f"fringe_detuning must be finite, got {fringe_detuning}")
     if fringe_detuning == 0:
@@ -232,7 +223,7 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
     vis = np.empty(len(taus))
     vis_se = np.empty(len(taus))
     # at alpha = 0 every realization is the same trajectory
-    frozen = freeze_phases or spec.alpha == 0
+    frozen = spec.alpha == 0
     if frozen:
         z = phasors(draw_phase_matrix(spec, [0]))
     for it, tau in enumerate(taus):
@@ -267,7 +258,7 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         kind="ramsey", sweep=taus, mean=mean, stderr=se,
         n_realizations=n, spec_hash=spec.spec_hash(),
         visibility=vis, visibility_err=vis_se,
-        meta={"freeze_phases": freeze_phases, "pulse_steps": n_steps})
+        meta={"freeze_phases": frozen, "pulse_steps": n_steps})
 
 
 def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
@@ -288,7 +279,7 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
         raise ValidationError("rabi requires an amplitude noise spec")
     require_int("n_realizations", n_realizations, 1)
     _require_positive("drive_rabi", drive_rabi)
-    durations = _sweep("durations", durations)
+    durations = require_sweep("durations", durations)
     beta_bound = float(np.sum(np.abs(spec.tooth_amplitudes())))
     om_bound = drive_rabi * (1.0 + beta_bound)
     if dt is None:

@@ -86,6 +86,8 @@ class IQWaveform:
     def __post_init__(self):
         if len(self.i) != len(self.q):
             raise ValidationError("I and Q must have equal length")
+        if len(self.i) == 0:
+            raise ValidationError("an IQ waveform needs at least one sample")
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ValidationError(
                 f"sample rate must be finite and positive, got {self.sample_rate}")
@@ -146,7 +148,7 @@ def quantize(w: IQWaveform, bits: int = 16,
     if not (np.all(np.isfinite(w.i)) and np.all(np.isfinite(w.q))):
         raise ValidationError("IQ samples must be finite to quantize")
     levels = 2 ** (bits - 1)
-    peak = float(max(np.max(np.abs(w.i), initial=0.0), np.max(np.abs(w.q), initial=0.0)))
+    peak = float(max(np.max(np.abs(w.i)), np.max(np.abs(w.q))))
     if full_scale is None:
         full_scale = peak * levels / (levels - 1) if peak > 0 else 1.0
     if not (math.isfinite(full_scale) and full_scale > 0):

@@ -482,6 +482,44 @@ class TestCombAgainstLongDouble:
                 assert float(np.max(np.abs(out - expect))) <= tol, (evaluate.__name__, rows)
 
 
+class TestCombLoopNest:
+    """``_comb_eval`` with a time block of 3, so that starts and offsets both
+    cross block boundaries in one call.
+
+    The shifted form must match the arbitrary-times form at the explicit
+    start-major times and a long-double direct sum at the exact times
+    ``starts[q] + times[r]``, within 1e-12 of the coefficient row's sum of
+    magnitudes.
+    """
+
+    OMEGA0 = TWO_PI * 50.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(teeth=st.integers(1, 9), n_starts=st.integers(1, 11), m=st.integers(1, 11),
+           batch=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_shifted_matches_explicit_and_long_double(self, teeth, n_starts, m, batch, seed):
+        rng = np.random.default_rng(seed)
+        period = TWO_PI / self.OMEGA0
+        shape = (2, 3, teeth) if batch else (teeth,)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        starts = np.sort(rng.uniform(0.0, 4.0 * period, n_starts))
+        times = rng.uniform(0.0, period, m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(noise, "_TIME_BLOCK", 3)
+            shifted = noise._comb_eval(times, self.OMEGA0, c, starts)
+            explicit = noise._comb_eval((starts[:, None] + times).ravel(), self.OMEGA0, c)
+        assert shifted.shape == explicit.shape == shape[:-1] + (n_starts * m,)
+        ld = np.longdouble
+        exact = (starts.astype(ld)[:, None] + times.astype(ld)).ravel()
+        theta = (ld(self.OMEGA0) * np.arange(1, teeth + 1))[:, None] * exact
+        # Re(c e^{i theta}) = Re(c) cos(theta) - Im(c) sin(theta), summed over teeth
+        ref = np.sum(c.real.astype(ld)[..., None] * np.cos(theta)
+                     - c.imag.astype(ld)[..., None] * np.sin(theta), axis=-2)
+        tol = 1e-12 * np.sum(np.abs(c), axis=-1, keepdims=True)
+        assert np.all(np.abs(shifted - explicit) <= tol)
+        assert np.all(np.abs(shifted - ref) <= tol)
+
+
 class TestRealizeAgainstLongDouble:
     """``realize`` against the long-double direct sum at the grid's exact times.
 

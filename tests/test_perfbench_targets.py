@@ -46,6 +46,9 @@ def test_meta_keys_read_by_perfbench_exist():
 def _traced_metrics(call):
     """Run ``call`` with the benchmark's wrappers installed; its per-layer metrics."""
     spans = _spans()
+    # traced() looks every target module up in sys.modules
+    for modname in {t[0] for t in spans.TARGETS}:
+        importlib.import_module(modname)
     with spans.traced(spans.Tracer()) as tracer:
         call()
     return spans.layer_metrics(tracer, 0.0)
@@ -71,3 +74,17 @@ def test_traced_layer_counts():
     # realize samples its grid with one direct comb call, which no wrapper sees
     got = _traced_metrics(lambda: noise.realize(deph, TimeGrid(0.0, 1e-3, 8), 0))
     assert (got["noise.comb.calls"], got["noise.draw.rows"]) == (0, 1)
+
+
+def test_traced_zero_alpha_ramsey_counts_one_trajectory():
+    # alpha = 0 simulates one row, and meta["freeze_phases"] tells the step
+    # counter so: pulse 1, pulse 2 and its 90-degree copy, once per tau
+    deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.0, omega0=50.0, teeth=3, p=0)
+    two_pi = 2.0 * math.pi
+    taus = [1e-3, 2e-3, 3e-3, 4e-3]
+    records = []
+    got = _traced_metrics(lambda: records.append(qubit.ramsey(
+        deph, fringe_detuning=two_pi * 10.0, pulse_rabi=two_pi * 1e3, taus=taus,
+        n_realizations=500)))
+    assert got["noise.draw.rows"] == 1
+    assert got["qubit.steps"] == 3 * len(taus) * records[0].meta["pulse_steps"]

@@ -63,3 +63,25 @@ def test_every_export_has_a_caller():
     acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
     assert [n for n in ACCEPTANCE_ORACLES
             if not re.search(rf"\b{n}\b", acceptance)] == []
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a module-level _helper whose only callers are tests is a code path the
+    # program no longer takes; a self-call inside its own body does not count
+    uses = []  # (module, top-level definition or statement, names it reads)
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                     if isinstance(n, ast.Attribute)
+                     or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))}
+            names |= {a.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom)
+                      for a in n.names}
+            uses.append((path.name, stmt, names))
+            if (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                private.append((path.name, stmt))
+    assert private
+    orphans = [f"{mod}:{fn.name}" for mod, fn in private
+               if not any(fn.name in names for _, stmt, names in uses if stmt is not fn)]
+    assert orphans == []

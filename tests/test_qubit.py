@@ -302,20 +302,29 @@ class TestRamsey:
         assert a.visibility.tobytes() == b.visibility.tobytes()
 
     def test_frozen_phases_single_trajectory(self):
-        spec = deph_spec(1.5, seed=7)
-        rec = ramsey(spec, fringe_detuning=TWO_PI * 500.0, pulse_rabi=TWO_PI * 1e4,
-                     taus=[1e-3, 3e-3], n_realizations=25, freeze_phases=True)
-        # a single deterministic trajectory keeps unit coherence
-        assert np.all(rec.stderr == 0.0)
-        assert np.all(rec.visibility > 0.999)
+        # one deterministic trajectory keeps unit coherence, noisy or not, and
+        # its errors are 0; meta["freeze_phases"] records when alpha = 0 made
+        # every shot that one trajectory
+        kwargs = dict(fringe_detuning=TWO_PI * 500.0, pulse_rabi=TWO_PI * 1e4,
+                      taus=[1e-3, 3e-3])
+        frozen = ramsey(deph_spec(0.0, seed=7), n_realizations=25, **kwargs)
+        single = ramsey(deph_spec(1.5, seed=7), n_realizations=1, **kwargs)
+        for rec in (frozen, single):
+            assert np.all(rec.stderr == 0.0)
+            assert np.all(rec.visibility > 0.999)
+        assert frozen.meta["freeze_phases"] is True
+        assert single.meta["freeze_phases"] is False
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 7, 8])
     def test_frozen_phases_errors_exactly_zero(self, seed):
         # the mean of n copies of one value is not always that value, so
-        # repeating the frozen row left std ~1e-17 instead of 0
-        spec = deph_spec(1.5, omega0_hz=50.0, teeth=20, seed=seed)
-        rec = ramsey(spec, fringe_detuning=TWO_PI * 500.0, pulse_rabi=TWO_PI * 1e4,
-                     taus=[1e-3, 3e-3], n_realizations=25, freeze_phases=True)
+        # repeating the one alpha = 0 row would leave std ~1e-17 instead of 0;
+        # the seed picks the trajectory through the fringe detuning and taus
+        rng = np.random.default_rng(seed)
+        spec = deph_spec(0.0, omega0_hz=50.0, teeth=20, seed=seed)
+        rec = ramsey(spec, fringe_detuning=TWO_PI * rng.uniform(200.0, 800.0),
+                     pulse_rabi=TWO_PI * 1e4, taus=np.sort(rng.uniform(0.0, 4e-3, 2)),
+                     n_realizations=25)
         assert np.all(rec.stderr == 0.0)
         assert np.all(rec.visibility_err == 0.0)
         assert rec.n_realizations == 25
@@ -441,11 +450,12 @@ class TestPhasorReuse:
     RAMSEY = dict(fringe_detuning=TWO_PI * 500.0, pulse_rabi=TWO_PI * 1e4,
                   taus=[1e-3, 2e-3, 3e-3], n_realizations=4)
 
-    @pytest.mark.parametrize("freeze", [False, True])
-    def test_ramsey_once_per_draw_block(self, monkeypatch, freeze):
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_ramsey_once_per_draw_block(self, monkeypatch, frozen):
+        # alpha = 0 simulates one trajectory, from one draw row
         shapes = count_phasors(monkeypatch)
-        ramsey(deph_spec(1.5, teeth=20, seed=7), freeze_phases=freeze, **self.RAMSEY)
-        assert shapes == ([(1, 20)] if freeze else [(4, 20)] * 3)
+        ramsey(deph_spec(0.0 if frozen else 1.5, teeth=20, seed=7), **self.RAMSEY)
+        assert shapes == ([(1, 20)] if frozen else [(4, 20)] * 3)
 
     def test_rabi_once(self, monkeypatch):
         shapes = count_phasors(monkeypatch)

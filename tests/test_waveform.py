@@ -118,6 +118,14 @@ class TestIQ:
         with pytest.raises(ValidationError, match="sample rate"):
             to_iq(np.ones(2), np.zeros(2), rate)
 
+    def test_empty_rejected(self):
+        # an empty record used to reach continuity_report's IndexError and a
+        # quantized block with snr_db = inf
+        with pytest.raises(ValidationError, match="at least one sample"):
+            to_iq(np.zeros(0), np.zeros(0), 1.0)
+        with pytest.raises(ValidationError, match="at least one sample"):
+            IQWaveform(sample_rate=1.0, i=np.zeros(0), q=np.zeros(0))
+
     def test_magnitude_identity(self):
         rng = np.random.default_rng(1)
         om = rng.uniform(0.0, 3.0, 500)
