@@ -11,6 +11,7 @@ from scipy.optimize import least_squares
 
 from .errors import FitError, ValidationError
 from .filter_theory import predicted_t2
+from .grid import write_csv
 from .noise import NoiseSpec
 from .qubit import ExperimentRecord, ramsey
 
@@ -241,6 +242,5 @@ def alpha_scaling(base_spec: NoiseSpec, alphas: Sequence[float], *,
 
 def export_scan_csv(result: AlphaScanResult, path) -> None:
     """CSV of (alpha, t2, t2_err) plus a trailing exponent summary line."""
-    np.savetxt(path, np.column_stack([result.alphas, result.t2, result.t2_err]),
-               fmt="%.17g", delimiter=",", comments="", header="alpha,t2,t2_err",
-               footer=f"# exponent = {result.exponent:.6f} +- {result.exponent_err:.6f}")
+    write_csv(path, [result.alphas, result.t2, result.t2_err], "alpha,t2,t2_err",
+              footer=f"# exponent = {result.exponent:.6f} +- {result.exponent_err:.6f}")

@@ -24,7 +24,7 @@ from .config import (SPEC_KEYS, mapping_from_spec, parse_kv, serialize_kv,
                      spec_from_mapping)
 from .errors import BathforgeError, ConfigError, ValidationError, require_int
 from .filter_theory import coherence_curve, fidelity_from_chi
-from .grid import TimeGrid
+from .grid import TimeGrid, output_file, write_csv
 from .noise import NoiseSpec, analytic_psd, export_realization_csv, realize
 from .qubit import export_record_csv, rabi, ramsey
 from .spectral import estimate_psd, export_psd_csv, tooth_weights
@@ -185,7 +185,7 @@ def _write_manifest(path, command: str, opts: Options, spec: NoiseSpec | None,
         doc["manifest.spec_hash"] = spec.spec_hash()
     for i, out in enumerate(outputs):
         doc[f"manifest.output.{i}"] = f"{out} sha256={_sha256_file(out)}"
-    with open(path, "w") as fh:
+    with output_file(path) as fh:
         fh.write(serialize_kv(doc))
 
 
@@ -326,9 +326,8 @@ def cmd_predict(args, opts: Options, spec: NoiseSpec) -> list:
     taus = np.linspace(opts["tau_min"], opts["tau_max"], _points(opts))
     curve = coherence_curve(spec, taus)
     path = f"{opts['out']}.csv"
-    np.savetxt(path, np.column_stack([curve.tau, curve.chi, fidelity_from_chi(curve.chi)]),
-               fmt="%.17g", delimiter=",", comments="",
-               header=f"# regime = {curve.regime}\ntau,chi,fidelity")
+    write_csv(path, [curve.tau, curve.chi, fidelity_from_chi(curve.chi)],
+              f"# regime = {curve.regime}\ntau,chi,fidelity")
     print(f"wrote {path} (regime: {curve.regime})")
     return [path]
 

@@ -1,13 +1,19 @@
-"""Uniform time grids shared by noise synthesis, waveform compilation and simulation."""
+"""Uniform time grids shared by noise synthesis, waveform compilation and simulation,
+and the one CSV writer every exported table goes through."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_int
+from .errors import ConfigError, ValidationError, require_int
+
+# rows formatted per write: large enough that one % amortizes the per-call
+# cost, small enough that a long table's text never sits in memory at once
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -50,3 +56,32 @@ class TimeGrid:
         period = 2.0 * math.pi / omega0
         n = k * samples_per_period
         return cls(t0=0.0, dt=k * period / n, n=n)
+
+
+@contextlib.contextmanager
+def output_file(path, mode: str = "w"):
+    """Open ``path`` for writing; a file that cannot be written is a config error."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def write_csv(path, columns, header: str, footer: str = "") -> None:
+    """Write equal-length ``columns`` as comma-separated ``%.17g`` rows.
+
+    The ``header`` line comes first and the ``footer`` line, if any, last.
+    ``%.17g`` reads back to the same float64.  Each block of ``_ROW_BLOCK``
+    rows is one ``%`` of the row template over the block's values: the same
+    conversion as one ``%`` per row, in far fewer Python-level calls.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with output_file(path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), _ROW_BLOCK):
+            block = table[start:start + _ROW_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        if footer:
+            fh.write(footer + "\n")

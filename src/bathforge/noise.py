@@ -68,7 +68,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AmplitudeRangeWarning, NyquistError, ValidationError, require_int
-from .grid import TimeGrid
+from .grid import TimeGrid, write_csv
 
 _MAX_U64 = 2**64 - 1
 # numpy SeedSequence's hash constants (pool of 4 uint32 words) and PCG64's multiplier
@@ -441,6 +441,5 @@ def export_realization_csv(realization: NoiseRealization, path) -> None:
     if realization.phi_n is not None:
         cols.append(realization.phi_n)
         names += ",phi_n"
-    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", comments="",
-               header=f"# bathforge realization spec={realization.spec.spec_hash()} "
-                      f"index={realization.draw.realization_index}\n{names}")
+    write_csv(path, cols, f"# bathforge realization spec={realization.spec.spec_hash()} "
+                          f"index={realization.draw.realization_index}\n{names}")

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError, require_int, require_sweep
+from .grid import write_csv
 from .noise import (NoiseSpec, Quadrature, amplitude_waveform_at,
                     detuning_waveform_at, draw_phase_matrix, phase_waveform_at, phasors)
 
@@ -311,6 +312,5 @@ def export_record_csv(record: ExperimentRecord, path) -> None:
     if record.visibility is not None:
         cols += [record.visibility, record.visibility_err]
         names += ",visibility,visibility_err"
-    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", comments="",
-               header=f"# bathforge {record.kind} spec={record.spec_hash} "
-                      f"n={record.n_realizations}\n{names}")
+    write_csv(path, cols, f"# bathforge {record.kind} spec={record.spec_hash} "
+                          f"n={record.n_realizations}\n{names}")

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import ValidationError, require_int
+from .grid import write_csv
 from .noise import NoiseRealization, NoiseSpec, Quadrature
 
 
@@ -164,5 +165,4 @@ def export_psd_csv(estimate: PsdEstimate, path, carrier_power: float | None = No
     if carrier_power:
         cols.append(to_dbc(estimate.density, carrier_power))
         names += ",dbc"
-    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",", comments="",
-               header=names)
+    write_csv(path, cols, names)

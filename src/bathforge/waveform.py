@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError, require_int
-from .grid import TimeGrid
+from .grid import TimeGrid, output_file, write_csv
 from .noise import NoiseRealization, Quadrature
 
 
@@ -200,8 +200,7 @@ def continuity_report(w: IQWaveform, threshold: Optional[float] = None) -> Conti
 def export_csv(w: IQWaveform, path) -> None:
     """CSV of (t, I, Q) rows, t = k * dt with dt = 1 / sample_rate."""
     t = np.arange(len(w.i)) * (1.0 / w.sample_rate)
-    np.savetxt(path, np.column_stack([t, w.i, w.q]), fmt="%.17g", delimiter=",",
-               comments="", header="t,i,q")
+    write_csv(path, [t, w.i, w.q], "t,i,q")
 
 
 def export_binary(w: IQWaveform, path, header_path=None, spec_hash: str = "") -> None:
@@ -216,11 +215,11 @@ def export_binary(w: IQWaveform, path, header_path=None, spec_hash: str = "") ->
     inter = np.empty(2 * len(w.i), dtype="<i2")
     inter[0::2] = w.quantized.codes_i
     inter[1::2] = w.quantized.codes_q
-    with open(path, "wb") as fh:
+    with output_file(path, "wb") as fh:
         fh.write(inter.tobytes())
     if header_path is None:
         header_path = str(path) + ".hdr"
-    with open(header_path, "w") as fh:
+    with output_file(header_path) as fh:
         fh.write(f"format = interleaved_iq_int16_le\n"
                  f"sample_rate_hz = {w.sample_rate!r}\n"
                  f"full_scale = {w.quantized.full_scale!r}\n"

@@ -306,6 +306,23 @@ class TestCliErrors:
         assert "error category=config" in err and missing in err
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--spec", "white.cfg", "--periods", "1"],
+        ["predict", "chi", "--spec", "white.cfg", "--tau-max", "0.01", "--points", "3"],
+        ["export", "--program", "prog.txt", "--rate", "8000", "--format", "both"],
+        ["export", "--program", "prog.txt", "--rate", "8000", "--format", "bin"],
+    ], ids=["synth", "predict_chi", "export_both", "export_bin"])
+    def test_unwritable_output_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "white.cfg").write_text(WHITE_CFG)
+        (tmp_path / "prog.txt").write_text("0.002 250 0\n")
+        rc = main(argv + ["--out", "missing/x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error category=config: cannot write missing/x" in err
+        assert "No such file or directory" in err
+        assert not list(tmp_path.rglob("*.manifest"))
+
     def test_failure_after_an_output_writes_no_manifest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "prog.txt").write_text("0.002 250 0\n")

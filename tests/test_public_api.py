@@ -85,3 +85,9 @@ def test_every_private_function_has_a_caller_in_src():
     orphans = [f"{mod}:{fn.name}" for mod, fn in private
                if not any(fn.name in names for _, stmt, names in uses if stmt is not fn)]
     assert orphans == []
+
+
+def test_one_csv_writer():
+    # every table goes through grid.write_csv, so there is one text format
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "savetxt" in p.read_text()]
+    assert users == []
