@@ -1,12 +1,15 @@
 """Command-line interface: reproducible synthesis, simulation and verification runs.
 
-``main`` does every run's bookkeeping in one place: it resolves the options
-from (in increasing precedence) built-in defaults, a ``--config`` key-value
-file, a ``--spec`` noise file (``spec.*`` keys) and individual flags, runs
-the subcommand, and writes a manifest that records the fully resolved
-configuration plus output hashes.  Because manifest metadata lives under the
-tolerated ``manifest.`` namespace, the manifest file itself is a valid
-``--config`` for the same subcommand and replays to byte-identical outputs.
+Each command's option table holds its own rows and the noise spec's
+(``config.SPEC_OPTIONS``, under ``spec.``); a row makes its flag and parses
+its text.  ``main`` merges four layers in increasing precedence: defaults, a
+``--config`` file, a ``--spec`` file (its keys read as ``spec.*``) and the
+flags that were set; a layer that sets ``p`` or ``envelope`` clears both below
+it.  One coercer parses every value, so bad text is the same config error from
+a file or a flag.  ``main`` then runs the subcommand and writes a manifest of
+the resolved configuration plus output hashes.  Its metadata sits under the
+tolerated ``manifest.`` namespace, so the manifest replays as a ``--config``
+to byte-identical outputs.  A failed run removes the outputs it finished.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import alpha_scaling, export_scan_csv
-from .config import (SPEC_KEYS, mapping_from_spec, parse_kv, serialize_kv,
-                     spec_from_mapping)
+from .config import (SPEC_OPTIONS, mapping_from_spec, parse_kv, serialize_kv,
+                     spec_from_options)
 from .errors import BathforgeError, ConfigError, ValidationError, require_int
 from .filter_theory import coherence_curve, fidelity_from_chi
-from .grid import TimeGrid, output_file, write_csv
-from .noise import NoiseSpec, analytic_psd, export_realization_csv, realize
+from .grid import TimeGrid, output_file, removed_on_failure, write_csv
+from .noise import NoiseSpec, Quadrature, analytic_psd, export_realization_csv, realize
 from .qubit import export_record_csv, rabi, ramsey
 from .spectral import estimate_psd, export_psd_csv, tooth_weights
 from .waveform import (ControlProgram, Segment, compose, continuity_report,
@@ -33,7 +36,7 @@ from .waveform import (ControlProgram, Segment, compose, continuity_report,
 
 TWO_PI = 2.0 * math.pi
 
-# command -> (help, {option: (type, default, help)})
+# command -> (help, {option: (kind, default, help)})
 _COMMANDS = {
     "synth": ("draw noise realizations and export CSV", {
         "realizations": (int, 1, "number of realizations to draw"),
@@ -83,6 +86,9 @@ _COMMANDS = {
     }),
 }
 
+# the spec rows every command's table starts with
+_SPEC_ROWS = {f"spec.{key}": row for key, row in SPEC_OPTIONS.items()}
+
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -106,37 +112,39 @@ def _read_text(path) -> str:
         raise ConfigError(f"cannot read {path}: not a text file") from None
 
 
+def _parse(key: str, kind, raw: str):
+    """One option's text, from a file or a flag, as a value of its kind."""
+    try:
+        if kind is bool:
+            return _BOOL_WORDS[raw.strip().lower()]
+        if kind is list:
+            return [float(v) for v in raw.split(",")]
+        return kind(raw.lower() if kind is Quadrature else raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+
+
 class Options:
-    """One subcommand's option table and the merged key-value state."""
+    """One subcommand's option table, spec rows included, and the merged values."""
 
     def __init__(self, command: str):
-        self.table = _COMMANDS[command][1]
-        self.values = {k: spec[1] for k, spec in self.table.items()}
+        self.table = {**_SPEC_ROWS, **_COMMANDS[command][1]}
+        self.values = {k: row[1] for k, row in self.table.items()}
 
-    def merge_config(self, mapping: dict):
+    def merge(self, mapping: dict):
+        """Parse one layer of text over the layers merged before it; ``manifest.*``
+        keys are skipped.  A layer that sets ``spec.p`` or ``spec.envelope``
+        clears both first, so it replaces the envelope an earlier layer chose."""
+        layer = {}
         for key, raw in mapping.items():
-            if key.startswith(("manifest.", "spec.")):
-                continue  # metadata / handled by the spec loader
+            if key.startswith("manifest."):
+                continue
             if key not in self.table:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            self.values[key] = self._coerce(key, raw)
-
-    def merge_flags(self, args: argparse.Namespace):
-        for key in self.table:
-            val = getattr(args, key, None)
-            if val is not None:
-                self.values[key] = val
-
-    def _coerce(self, key: str, raw: str):
-        kind = self.table[key][0]
-        try:
-            if kind is bool:
-                return _BOOL_WORDS[raw.strip().lower()]
-            if kind is list:
-                return [float(v) for v in raw.split(",")]
-            return kind(raw)
-        except (KeyError, ValueError):
-            raise ConfigError(f"bad value for {key!r}: {raw!r}")
+            layer[key] = _parse(key, self.table[key][0], raw)
+        if layer.keys() & {"spec.p", "spec.envelope"}:
+            self.values["spec.p"] = self.values["spec.envelope"] = None
+        self.values.update(layer)
 
     def __getitem__(self, key: str):
         val = self.values[key]
@@ -145,31 +153,12 @@ class Options:
         return val
 
 
-def _resolve_spec(args, config: dict) -> NoiseSpec | None:
-    """The spec from spec.* config keys, then the --spec file, then spec flags."""
-    spec_map = {k.split(".", 1)[1]: v for k, v in config.items() if k.startswith("spec.")}
-    for key in spec_map:
-        if key not in SPEC_KEYS:
-            raise ConfigError(f"unknown spec key 'spec.{key}'")
-    if args.spec:
-        spec_map.update(parse_kv(_read_text(args.spec)))
-    for key in SPEC_KEYS:
-        val = getattr(args, key)
-        if val is not None:
-            spec_map[key] = str(val)
-            if key == "p":
-                spec_map.pop("envelope", None)
-            elif key == "envelope":
-                spec_map.pop("p", None)
-    return spec_from_mapping(spec_map) if spec_map else None
-
-
 def _write_manifest(path, command: str, opts: Options, spec: NoiseSpec | None,
                     outputs: list):
     doc = {}
     for key in sorted(opts.values):
         val = opts.values[key]
-        if val is None:
+        if val is None or key.startswith("spec."):
             continue
         if isinstance(val, list):
             val = ",".join(repr(v) for v in val)
@@ -345,32 +334,19 @@ def cmd_scan_alpha(args, opts: Options, spec: NoiseSpec) -> list:
 
 # ------------------------------------------------------------------- parser
 
-def _add_spec_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key-value run configuration (or a manifest)")
-    p.add_argument("--spec", help="noise spec config file")
-    p.add_argument("--quadrature", choices=["dephasing", "amplitude"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--omega0-hz", type=float, dest="omega0_hz")
-    p.add_argument("--teeth", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--envelope", help="comma-separated explicit F(j) table")
-    p.add_argument("--seed", type=int)
-
-
-def _add_table_flags(p: argparse.ArgumentParser, options: dict):
-    for key, (kind, _default, help_text) in options.items():
-        flag = "--" + key.replace("_", "-")
+def _add_table_flags(p: argparse.ArgumentParser, table: dict):
+    # every flag's value stays text, for Options.merge to parse like a file's
+    for key, (kind, _default, help_text) in table.items():
+        name = key.removeprefix("spec.")
+        flag = "--" + name.replace("_", "-")
         if kind is bool:
             group = p.add_mutually_exclusive_group()
-            group.add_argument(flag, dest=key, action="store_true", default=None,
+            group.add_argument(flag, dest=key, nargs="?", const="true", metavar="WORD",
                                help=help_text)
-            group.add_argument("--no-" + key.replace("_", "-"), dest=key,
-                               action="store_false", default=None)
-        elif kind is list:
-            p.add_argument(flag, dest=key, help=help_text,
-                           type=lambda s: [float(v) for v in s.split(",")])
+            group.add_argument("--no-" + flag[2:], dest=key, action="store_const",
+                               const="false")
         else:
-            p.add_argument(flag, dest=key, type=kind, help=help_text)
+            p.add_argument(flag, dest=key, metavar=name.upper(), help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ramsey | rabi")
         elif name == "predict":
             p.add_argument("variant", metavar="quantity", choices=["chi"], help="chi")
-        _add_spec_flags(p)
-        _add_table_flags(p, options)
+        p.add_argument("--config", help="key-value run configuration (or a manifest)")
+        p.add_argument("--spec", help="noise spec config file")
+        _add_table_flags(p, {**_SPEC_ROWS, **options})
         p.set_defaults(func=handlers[name])
     return parser
 
@@ -399,16 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        opts = Options(args.command)
-        config = parse_kv(_read_text(args.config)) if args.config else {}
-        opts.merge_config(config)
-        opts.merge_flags(args)
-        spec = _resolve_spec(args, config)
-        if spec is None and args.command != "export":
-            raise ConfigError("no noise spec given (use --spec or spec.* keys)")
-        outputs = args.func(args, opts, spec)
-        label = f"{args.command} {args.variant}" if "variant" in args else args.command
-        _write_manifest(f"{opts['out']}.manifest", label, opts, spec, outputs)
+        with removed_on_failure():
+            opts = Options(args.command)
+            if args.config:
+                opts.merge(parse_kv(_read_text(args.config)))
+            if args.spec:
+                opts.merge({f"spec.{k}": v for k, v in parse_kv(_read_text(args.spec)).items()
+                            if not k.startswith("manifest.")})
+            opts.merge({k: v for k, v in vars(args).items() if k in opts.table and v is not None})
+            spec = spec_from_options(opts.values)
+            if spec is None and args.command != "export":
+                raise ConfigError("no noise spec given (use --spec or spec.* keys)")
+            outputs = args.func(args, opts, spec)
+            label = f"{args.command} {args.variant}" if "variant" in args else args.command
+            _write_manifest(f"{opts['out']}.manifest", label, opts, spec, outputs)
         return 0
     except BathforgeError as exc:
         print(f"error category={exc.category}: {exc}", file=sys.stderr)

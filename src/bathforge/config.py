@@ -1,23 +1,21 @@
-"""Plain-text key-value configuration documents.
+"""Plain-text key-value configuration documents, and the noise spec's keys.
 
 Format: one ``key = value`` pair per line, ``#`` comments, blank lines
-ignored.  Keys are lowercase dotted words.  Frequencies in config files are
-in Hz (human convention) and converted to angular rad/s exactly once, here
-at the boundary; everything inside the package speaks rad/s.
+ignored.  Keys are lowercase dotted words.
 
-Noise spec schema::
+Noise spec schema (a ``--spec`` file, or ``spec.*`` keys of a run config)::
 
-    quadrature = dephasing | amplitude
+    quadrature = dephasing | amplitude    # any case
     alpha      = <float >= 0>
     omega0_hz  = <float > 0>
     teeth      = <int >= 1>
     p          = <float>            # or instead:
     envelope   = <f1>, <f2>, ...    # explicit F(j), length = teeth
-    seed       = <uint64>
+    seed       = <uint64>           # default 0
 
-Unknown keys are rejected so typos cannot pass silently; keys under the
-``manifest.`` namespace are reserved for run manifests and tolerated, which
-lets a manifest be replayed directly as a config file.
+``SPEC_OPTIONS`` holds these rows; the CLI parses them like its own options.
+Frequencies in config files are in Hz (human convention) and are converted to
+rad/s exactly once, in ``spec_from_options``; the package speaks rad/s.
 """
 
 from __future__ import annotations
@@ -27,7 +25,16 @@ import math
 from .errors import ConfigError
 from .noise import NoiseSpec, Quadrature
 
-SPEC_KEYS = ("quadrature", "alpha", "omega0_hz", "teeth", "p", "envelope", "seed")
+# key -> (kind, default, help), the same row shape as a CLI command's options
+SPEC_OPTIONS = {
+    "quadrature": (Quadrature, None, "dephasing | amplitude"),
+    "alpha": (float, None, "noise strength"),
+    "omega0_hz": (float, None, "comb base frequency, Hz"),
+    "teeth": (int, None, "number of comb teeth J"),
+    "p": (float, None, "power-law exponent (replaces an earlier envelope)"),
+    "envelope": (list, None, "comma-separated explicit F(j) table (replaces an earlier p)"),
+    "seed": (int, None, "phase seed (default 0)"),
+}
 
 
 def parse_kv(text: str) -> dict:
@@ -53,44 +60,21 @@ def serialize_kv(mapping: dict) -> str:
     return "".join(f"{k} = {v}\n" for k, v in mapping.items())
 
 
-def spec_from_mapping(mapping: dict) -> NoiseSpec:
-    """Build a NoiseSpec from parsed config keys (Hz -> rad/s here)."""
-    for key in mapping:
-        if key not in SPEC_KEYS and not key.startswith("manifest."):
-            raise ConfigError(f"unknown configuration key {key!r}")
-    try:
-        quad = Quadrature(mapping["quadrature"].lower())
-    except KeyError:
-        raise ConfigError("missing key 'quadrature'")
-    except ValueError:
-        raise ConfigError(f"quadrature must be 'dephasing' or 'amplitude', "
-                          f"got {mapping['quadrature']!r}")
-    try:
-        alpha = float(mapping["alpha"])
-        omega0 = 2.0 * math.pi * float(mapping["omega0_hz"])
-        teeth = int(mapping["teeth"])
-        seed = int(mapping.get("seed", "0"))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc.args[0]!r}")
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value: {exc}")
-    p = mapping.get("p")
-    envelope = mapping.get("envelope")
-    if (p is None) == (envelope is None):
+def spec_from_options(values: dict) -> NoiseSpec | None:
+    """The spec named by merged, typed ``spec.*`` values (Hz -> rad/s here);
+    None when no layer set any spec key."""
+    v = {key: values[f"spec.{key}"] for key in SPEC_OPTIONS}
+    if all(val is None for val in v.values()):
+        return None
+    for key in ("quadrature", "alpha", "omega0_hz", "teeth"):
+        if v[key] is None:
+            raise ConfigError(f"missing key {key!r}")
+    if (v["p"] is None) == (v["envelope"] is None):
         raise ConfigError("exactly one of 'p' or 'envelope' must be set")
-    if envelope is not None:
-        try:
-            env = tuple(float(v) for v in envelope.split(","))
-        except ValueError:
-            raise ConfigError("envelope must be a comma-separated float list")
-        return NoiseSpec(quadrature=quad, alpha=alpha, omega0=omega0,
-                         teeth=teeth, envelope=env, seed=seed)
-    try:
-        p_val = float(p)
-    except ValueError:
-        raise ConfigError(f"p must be numeric, got {p!r}")
-    return NoiseSpec(quadrature=quad, alpha=alpha, omega0=omega0,
-                     teeth=teeth, p=p_val, seed=seed)
+    return NoiseSpec(quadrature=v["quadrature"], alpha=v["alpha"],
+                     omega0=2.0 * math.pi * v["omega0_hz"], teeth=v["teeth"], p=v["p"],
+                     envelope=None if v["envelope"] is None else tuple(v["envelope"]),
+                     seed=v["seed"] or 0)
 
 
 def mapping_from_spec(spec: NoiseSpec) -> dict:

@@ -4,16 +4,21 @@ and the one CSV writer every exported table goes through."""
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, require_int
+from .errors import BathforgeError, ConfigError, ValidationError, require_int
 
 # rows formatted per write: large enough that one % amortizes the per-call
 # cost, small enough that a long table's text never sits in memory at once
 _ROW_BLOCK = 4096
+
+# the paths output_file finished inside the innermost removed_on_failure block
+_finished = contextvars.ContextVar("finished_outputs", default=None)
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,27 @@ def output_file(path, mode: str = "w"):
             yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    finished = _finished.get()
+    if finished is not None:
+        finished.add(path)
+
+
+@contextlib.contextmanager
+def removed_on_failure():
+    """Remove every file ``output_file`` finished inside the block if the block
+    raises a BathforgeError.  A path that failed to open is never touched: it
+    may be a user's file or a directory."""
+    finished = set()
+    token = _finished.set(finished)
+    try:
+        yield
+    except BathforgeError:
+        for path in finished:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    finally:
+        _finished.reset(token)
 
 
 def write_csv(path, columns, header: str, footer: str = "") -> None:
@@ -74,14 +100,17 @@ def write_csv(path, columns, header: str, footer: str = "") -> None:
     The ``header`` line comes first and the ``footer`` line, if any, last.
     ``%.17g`` reads back to the same float64.  Each block of ``_ROW_BLOCK``
     rows is one ``%`` of the row template over the block's values: the same
-    conversion as one ``%`` per row, in far fewer Python-level calls.
+    conversion as one ``%`` per row, in far fewer Python-level calls.  Only one
+    block is ever stacked, so a long table is never copied whole.
     """
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValidationError(f"CSV columns differ in length: {[len(c) for c in columns]}")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with output_file(path) as fh:
         fh.write(header + "\n")
-        for start in range(0, len(table), _ROW_BLOCK):
-            block = table[start:start + _ROW_BLOCK]
+        for start in range(0, n, _ROW_BLOCK):
+            block = np.column_stack([col[start:start + _ROW_BLOCK] for col in columns])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
         if footer:
             fh.write(footer + "\n")

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from bathforge import __version__
-from bathforge.cli import build_parser, main
-from bathforge.config import (mapping_from_spec, parse_kv, serialize_kv,
-                              spec_from_mapping)
+from bathforge.cli import Options, build_parser, main
+from bathforge.config import mapping_from_spec, parse_kv, serialize_kv, spec_from_options
 from bathforge.errors import ConfigError
 
 WHITE_CFG = """\
@@ -30,6 +29,13 @@ def spec_file(tmp_path):
     return str(path)
 
 
+def spec_of(text):
+    """The spec a ``--spec`` file of ``text`` names, through the options' one merge."""
+    opts = Options("synth")
+    opts.merge({f"spec.{k}": v for k, v in parse_kv(text).items()})
+    return spec_from_options(opts.values)
+
+
 class TestConfig:
     def test_round_trip_identity(self):
         m1 = parse_kv(WHITE_CFG)
@@ -37,36 +43,42 @@ class TestConfig:
         assert m1 == m2
 
     def test_spec_round_trip(self):
-        spec = spec_from_mapping(parse_kv(WHITE_CFG))
-        again = spec_from_mapping(mapping_from_spec(spec))
-        assert again.spec_hash() == spec.spec_hash()
+        spec = spec_of(WHITE_CFG)
+        again = spec_of(serialize_kv(mapping_from_spec(spec)))
+        assert again == spec and again.spec_hash() == spec.spec_hash()
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            spec_from_mapping(parse_kv(WHITE_CFG + "tooths = 3\n"))
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        (tmp_path / "typo.cfg").write_text(WHITE_CFG + "tooths = 3\n")
+        rc = main(["synth", "--spec", str(tmp_path / "typo.cfg"), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "unknown configuration key 'spec.tooths'" in capsys.readouterr().err
 
-    def test_manifest_namespace_tolerated(self):
-        spec = spec_from_mapping(parse_kv(WHITE_CFG + "manifest.command = synth\n"))
-        assert spec.teeth == 50
+    def test_manifest_namespace_tolerated(self, tmp_path):
+        (tmp_path / "m.cfg").write_text(WHITE_CFG + "manifest.command = synth\n")
+        rc = main(["synth", "--spec", str(tmp_path / "m.cfg"), "--periods", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 0
+        assert parse_kv((tmp_path / "x.manifest").read_text())["spec.teeth"] == "50"
 
-    def test_missing_envelope_and_p(self):
-        bad = WHITE_CFG.replace("p = 0\n", "")
-        with pytest.raises(ConfigError):
-            spec_from_mapping(parse_kv(bad))
+    def test_missing_envelope_and_p(self, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_text(WHITE_CFG.replace("p = 0\n", ""))
+        rc = main(["synth", "--spec", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "exactly one of 'p' or 'envelope'" in capsys.readouterr().err
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_kv("a = 1\na = 2\n")
 
     def test_hz_boundary_conversion(self):
-        spec = spec_from_mapping(parse_kv(WHITE_CFG))
+        spec = spec_of(WHITE_CFG)
         assert spec.omega0 == pytest.approx(2.0 * math.pi * 4.0, rel=1e-15)
 
     def test_explicit_envelope(self):
         cfg = WHITE_CFG.replace("p = 0\n", "envelope = 1.0, 0.5, 0.25\n") \
                        .replace("teeth = 50", "teeth = 3")
-        spec = spec_from_mapping(parse_kv(cfg))
-        assert spec.envelope == (1.0, 0.5, 0.25)
+        spec = spec_of(cfg)
+        assert spec.envelope == (1.0, 0.5, 0.25) and spec.p is None
 
 
 class TestCliRuns:
@@ -129,7 +141,7 @@ class TestCliRuns:
         rows = (tmp_path / "chi.csv").read_text().splitlines()
         assert rows[0].startswith("# regime")
         from bathforge import chi_fid_comb
-        spec = spec_from_mapping(parse_kv(WHITE_CFG))
+        spec = spec_of(WHITE_CFG)
         tau, chi, fid = (np.array([[float(v) for v in r.split(",")]
                                    for r in rows[2:]]).T)
         assert np.allclose(chi, chi_fid_comb(spec, tau), rtol=1e-12)
@@ -207,9 +219,8 @@ class TestCliErrors:
                                             ("on", True), ("0", False), ("False", False),
                                             ("no", False), ("OFF", False)])
     def test_bool_words_accepted(self, word, value):
-        from bathforge.cli import Options
         opts = Options("simulate")
-        opts.merge_config({"pulse_noise": word})
+        opts.merge({"pulse_noise": word})
         assert opts["pulse_noise"] is value
 
     def test_zero_pulse_rabi_exit_3(self, tmp_path, spec_file, capsys):
@@ -345,6 +356,131 @@ class TestCliErrors:
         assert rc == 2
         assert "error category=config" in capsys.readouterr().err
         assert not list(tmp_path.glob("wave*"))
+
+
+    def test_failed_export_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "prog.txt").write_text("0.002 250 0\n")
+        (tmp_path / "wave.iq").mkdir()
+        rc = main(["export", "--program", "prog.txt", "--rate", "8000", "--format", "both",
+                   "--out", "wave"])
+        assert rc == 2
+        assert "cannot write wave.iq" in capsys.readouterr().err
+        # the finished CSV is removed; the directory the run failed to open is not
+        assert sorted(p.name for p in tmp_path.glob("wave*")) == ["wave.iq"]
+        assert (tmp_path / "wave.iq").is_dir()
+
+    def test_failed_synth_leaves_no_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "white.cfg").write_text(WHITE_CFG)
+        (tmp_path / "noise_0001.csv").mkdir()
+        rc = main(["synth", "--spec", "white.cfg", "--realizations", "3", "--periods", "1",
+                   "--out", "noise"])
+        assert rc == 2
+        assert sorted(p.name for p in tmp_path.glob("noise*")) == ["noise_0001.csv"]
+
+
+def run_main(argv, capsys):
+    """``main``'s exit code and stderr; an argparse exit fails the test."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        pytest.fail(f"argparse exited with {exc.code}")
+    return rc, capsys.readouterr().err
+
+
+class TestOnePath:
+    """Values from --config, --spec and flags meet one merge and one parser."""
+
+    BASE = "spec.quadrature = dephasing\nspec.alpha = 1.0\nspec.omega0_hz = 4.0\nspec.teeth = 3\n"
+    ENVELOPE = "1.0, 0.5, 0.25"
+
+    @pytest.mark.parametrize("key,argv", [
+        ("rate", ["export", "--program", "prog.txt"]),
+        ("spec.alpha", ["synth", "--spec", "white.cfg"]),
+        ("spec.teeth", ["synth", "--spec", "white.cfg"]),
+        ("pulse_noise", ["simulate", "ramsey", "--spec", "white.cfg", "--tau-max", "0.004"]),
+    ], ids=["rate", "alpha", "teeth", "pulse_noise"])
+    def test_bad_value_same_from_flag_and_config(self, tmp_path, monkeypatch, capsys,
+                                                 key, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "white.cfg").write_text(WHITE_CFG)
+        (tmp_path / "prog.txt").write_text("0.002 250 0\n")
+        (tmp_path / "run.cfg").write_text(f"{key} = x\n")
+        flag = "--" + key.removeprefix("spec.").replace("_", "-")
+        from_flag = run_main(argv + [flag, "x", "--out", "out"], capsys)
+        from_config = run_main(argv + ["--config", "run.cfg", "--out", "out"], capsys)
+        line = f"error category=config: bad value for {key!r}: 'x'\n"
+        assert from_flag == from_config == (2, line)
+        assert not list(tmp_path.glob("out*"))
+
+    def test_quadrature_any_case(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "amp.cfg").write_text(WHITE_CFG.replace("dephasing", "amplitude"))
+        (tmp_path / "title.cfg").write_text(WHITE_CFG.replace("dephasing", "Dephasing"))
+        predict = ["predict", "chi", "--tau-max", "0.01", "--points", "3", "--out", "chi"]
+        for argv in (["--spec", "amp.cfg", "--quadrature", "Dephasing"],
+                     ["--spec", "title.cfg"]):
+            assert run_main(predict + argv, capsys) == (0, "")
+            manifest = parse_kv((tmp_path / "chi.manifest").read_text())
+            assert manifest["spec.quadrature"] == "dephasing"
+
+    def run_layers(self, tmp_path, capsys, config="", spec="", flags=()):
+        """Predict with the base spec in --config plus the given text per layer."""
+        (tmp_path / "run.cfg").write_text(self.BASE + config)
+        argv = ["predict", "chi", "--tau-max", "0.01", "--points", "3",
+                "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "chi"),
+                *flags]
+        if spec:
+            (tmp_path / "spec.cfg").write_text(spec)
+            argv += ["--spec", str(tmp_path / "spec.cfg")]
+        rc, err = run_main(argv, capsys)
+        if rc:
+            return rc, err
+        return rc, parse_kv((tmp_path / "chi.manifest").read_text())
+
+    @pytest.mark.parametrize("layers,seed", [
+        ((), "0"), (("config",), "1"), (("spec",), "2"), (("flags",), "3"),
+        (("config", "spec"), "2"), (("config", "flags"), "3"), (("spec", "flags"), "3"),
+        (("config", "spec", "flags"), "3"),
+    ])
+    def test_numeric_precedence(self, tmp_path, capsys, layers, seed):
+        rc, manifest = self.run_layers(
+            tmp_path, capsys,
+            config="spec.p = 0\n" + ("spec.seed = 1\n" if "config" in layers else ""),
+            spec="seed = 2\n" if "spec" in layers else "",
+            flags=["--seed", "3"] if "flags" in layers else [])
+        assert rc == 0 and manifest["spec.seed"] == seed
+
+    @pytest.mark.parametrize("lower,upper", [("config", "spec"), ("config", "flags"),
+                                             ("spec", "flags")])
+    @pytest.mark.parametrize("winner", ["p", "envelope"])
+    def test_p_envelope_later_layer_replaces(self, tmp_path, capsys, lower, upper, winner):
+        loser = "envelope" if winner == "p" else "p"
+        value = {"p": "-1", "envelope": self.ENVELOPE}
+        layers = {"config": "", "spec": "", "flags": []}
+        for layer, key in ((lower, loser), (upper, winner)):
+            if layer == "flags":
+                layers["flags"] = [f"--{key}", value[key].replace(" ", "")]
+            else:
+                prefix = "spec." if layer == "config" else ""
+                layers[layer] = f"{prefix}{key} = {value[key]}\n"
+        rc, manifest = self.run_layers(tmp_path, capsys, **layers)
+        assert rc == 0
+        assert f"spec.{loser}" not in manifest
+        assert manifest[f"spec.{winner}"] == {"p": "-1.0", "envelope": self.ENVELOPE}[winner]
+
+    @pytest.mark.parametrize("layer", ["config", "spec", "flags"])
+    def test_p_and_envelope_in_one_layer_exit_2(self, tmp_path, capsys, layer):
+        layers = {"config": "", "spec": "", "flags": []}
+        if layer == "flags":
+            layers["flags"] = ["--p", "0", "--envelope", "1,0.5,0.25"]
+        else:
+            prefix = "spec." if layer == "config" else ""
+            layers[layer] = f"{prefix}p = 0\n{prefix}envelope = {self.ENVELOPE}\n"
+        rc, err = self.run_layers(tmp_path, capsys, **layers)
+        assert rc == 2
+        assert "error category=config: exactly one of 'p' or 'envelope'" in err
 
 
 class TestManifestReplay:

@@ -1,11 +1,14 @@
 """The one CSV writer against numpy's per-row text writer, byte for byte."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bathforge import grid
+from bathforge.errors import ValidationError
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
            2.225073858507201e-308, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
@@ -41,3 +44,20 @@ class TestWriteCsv:
         np.savetxt(ref, np.column_stack(columns), fmt="%.17g", delimiter=",", comments="",
                    header=header, footer=footer)
         assert ours.read_bytes() == ref.read_bytes()
+
+    def test_long_table_is_never_stacked_whole(self, tmp_path):
+        # only one block of rows is stacked at a time, so the peak stays far
+        # below the n x k x 8 bytes of the whole stacked table
+        columns = [np.linspace(0.0, 1.0, 200_000) * k for k in (1.0, np.pi, np.e)]
+        tracemalloc.start()
+        try:
+            grid.write_csv(tmp_path / "long.csv", columns, "a,b,c")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 200_000 * 3 * 8
+
+    def test_unequal_columns_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValidationError, match="differ in length"):
+            grid.write_csv(tmp_path / "bad.csv", [np.zeros(3), np.zeros(2)], "a,b")
+        assert not (tmp_path / "bad.csv").exists()

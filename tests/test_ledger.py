@@ -39,6 +39,8 @@ CASES = {
                       "--realizations", "3", "--out", "rabi"],
     "scan-alpha": ["scan-alpha", "--alphas", "2.5,3.2,4.0,5.0", "--realizations", "20",
                    "--points", "12", "--out", "scan"],
+    "synth_envelope": ["synth", "--envelope", "1,0.5,0.25", "--teeth", "3",
+                       "--realizations", "1", "--periods", "1", "--out", "env"],
 }
 
 DIGESTS = {
@@ -68,6 +70,10 @@ DIGESTS = {
         "noise.manifest": "fadc193ca853dafe2c02a59e4279bb178dcdbc7a447f8259463bb8de708dad61",
         "noise_0000.csv": "6d5ef9f0e32c1dc8882f79bc7f54f7e21c846738afd886d1546a5493f75b6407",
         "noise_0001.csv": "0b72ed14b86fbfd7922886510a0c0aa2bbf4a2527de47272fe2561b61a2de01f",
+    },
+    "synth_envelope": {
+        "env.manifest": "11dd90f721109ddcd782d5e44573ebf5e2f4ed22f7d3d70557b4da8f26bdb5e4",
+        "env_0000.csv": "856cff7d63a544c6e3c0426195265e17527ec9f6953035ed3bcd0f44bee874d5",
     },
     "verify-psd": {
         "psd.csv": "23802c6ca57710c7dd83eaf7d1d77db93d2bed0593599518cce8a3ff7ea0eed3",

@@ -1,4 +1,9 @@
-"""Guard against public names that only their own tests call."""
+"""Guard against public names that only their own tests call.
+
+``PYTHONPATH=src python tests/test_public_api.py`` prints the two size counts
+CHANGES.md quotes: the lines under ``src/bathforge`` and the public settable
+values.
+"""
 
 import ast
 import re
@@ -91,3 +96,39 @@ def test_one_csv_writer():
     # every table goes through grid.write_csv, so there is one text format
     users = [p.name for p in sorted(SRC.glob("*.py")) if "savetxt" in p.read_text()]
     assert users == []
+
+
+def _parameters(fn) -> int:
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    return len([n for n in names if n not in ("self", "cls")])
+
+
+def _is_dataclass(cls) -> bool:
+    return any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
+
+
+def settable_values() -> int:
+    """Parameters of public module-level functions and of the public methods of
+    public classes (``self``/``cls`` and dunder methods such as ``__init__``
+    not counted), plus the fields of dataclasses."""
+    n = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                n += _parameters(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        n += _parameters(item)
+                    elif (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
+                          and "ClassVar" not in ast.unparse(item.annotation)):
+                        n += 1
+    return n
+
+
+if __name__ == "__main__":
+    lines = sum(len(p.read_text().splitlines()) for p in SRC.glob("*.py"))
+    print(f"src/bathforge lines: {lines}")
+    print(f"public settable values: {settable_values()}")
