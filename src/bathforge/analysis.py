@@ -7,9 +7,8 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, require_int
 from .filter_theory import predicted_t2
 from .grid import write_csv
 from .noise import NoiseSpec
@@ -19,6 +18,7 @@ _MODELS = ("exponential", "gaussian")
 _PARAM_NAMES = ("amplitude", "t_decay", "frequency", "phase", "offset")
 _TAU_SPAN_T2 = 2.5     # alpha_scaling's tau window, in predicted T2
 _FRINGE_PERIODS = 4.0  # alpha_scaling's fringe oscillations across that window
+_MIN_FIT_POINTS = 8    # fewest sweep points fit_decay accepts
 
 
 @dataclass
@@ -89,6 +89,16 @@ def _initial_decay(t: np.ndarray, y: np.ndarray) -> float:
     return float(t_span / 2.0)
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first fit.
+
+    A module-level name, so that ``import bathforge`` loads no scipy and a
+    wrapper set on ``bathforge.analysis.least_squares`` sees every fit start.
+    """
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
+
+
 def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
     """Weighted separable least-squares fit of a decaying fringe to a record.
 
@@ -108,8 +118,8 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
     se = np.asarray(record.stderr, dtype=float)
     if np.any(np.diff(t) < 0):
         raise ValidationError("record sweep must be non-decreasing to fit a decay")
-    if len(t) < 8:
-        raise FitError("need at least 8 points to fit a decaying fringe")
+    if len(t) < _MIN_FIT_POINTS:
+        raise FitError(f"need at least {_MIN_FIT_POINTS} points to fit a decaying fringe")
     if float(np.ptp(y)) < 1e-12:
         raise FitError("constant signal: fringe amplitude ~ 0, decay time unidentifiable")
     if np.any(se <= 0):
@@ -211,18 +221,27 @@ def alpha_scaling(base_spec: NoiseSpec, alphas: Sequence[float], *,
     For each alpha the tau grid spans ``_TAU_SPAN_T2`` = 2.5 predicted decay
     times and the fringe detuning is set to put ``_FRINGE_PERIODS`` = 4
     oscillations in the window, so every fit sees both fringes and decay
-    regardless of scale.  A fit failure is re-raised with the alpha it
-    occurred at.
+    regardless of scale.  ``n_tau`` (at least the fit's 8 points) and every
+    alpha (finite, > 0, strong enough for a predicted T2) are checked before
+    the first simulation.  A failure is re-raised with the alpha it occurred at.
     """
     alphas = np.asarray(list(alphas), dtype=float)
     if len(alphas) < 4:
         raise ValidationError("need at least 4 alpha values for a scaling fit")
     if np.ptp(alphas) == 0:
         raise ValidationError("alpha values must not all be equal")
-    t2s, errs, records = [], [], []
+    require_int("n_tau", n_tau, _MIN_FIT_POINTS)
+    windows = []
     for a in alphas:
+        if not (math.isfinite(a) and a > 0):
+            raise ValidationError(f"alpha values must be finite and > 0, got {a:g}")
         spec = replace(base_spec, alpha=float(a))
-        tau_max = _TAU_SPAN_T2 * predicted_t2(spec)
+        try:
+            windows.append((spec, _TAU_SPAN_T2 * predicted_t2(spec)))
+        except ValidationError as exc:
+            raise ValidationError(f"no predicted T2 at alpha={a:g}: {exc}") from exc
+    t2s, errs, records = [], [], []
+    for a, (spec, tau_max) in zip(alphas, windows):
         taus = np.linspace(tau_max / n_tau, tau_max, n_tau)
         detuning = 2.0 * math.pi * _FRINGE_PERIODS / tau_max
         rec = ramsey(spec, fringe_detuning=detuning, pulse_rabi=pulse_rabi,

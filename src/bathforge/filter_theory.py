@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ValidationError, require_sweep
 from .noise import NoiseSpec, Quadrature, analytic_psd
@@ -95,6 +94,7 @@ def predicted_t2(spec: NoiseSpec) -> float:
             raise ValidationError(
                 "chi(tau) does not reach 1 within the search window; "
                 "noise too weak for a T2 in range")
+    from scipy.optimize import brentq  # on first use, so import bathforge loads no scipy
     t2 = brentq(f, lo, hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
     if abs(chi_fid_comb(spec, t2) - 1.0) > 1e-9:
         raise ValidationError("T2 root did not converge to |chi-1| < 1e-9")

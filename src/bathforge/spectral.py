@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import ValidationError, require_int
 from .grid import write_csv
@@ -107,6 +106,7 @@ def pm_sidebands(carrier_amp: float, mod_depth: float, omega_m: float,
     Negative orders are mirrored via J_{-n} = (-1)^n J_n so the magnitude
     symmetry about the carrier is exact by construction.
     """
+    from scipy.special import jv  # on first use, so import bathforge loads no scipy
     require_int("n_max", n_max, 1)
     n_pos = np.arange(0, n_max + 1)
     amps_pos = carrier_amp * jv(n_pos, mod_depth)

@@ -201,6 +201,21 @@ class TestCrossModule:
         with pytest.raises(ValidationError):
             alpha_scaling(spec, [1.0, 2.0, 3.0], n_realizations=10)
 
+    @pytest.mark.parametrize("last,n_tau,message", [
+        (math.nan, 36, "got nan$"), (-4.0, 36, "got -4$"), (0.0, 36, "got 0$"),
+        (1e-3, 36, "no predicted T2 at alpha=0.001"), (4.0, 4, "n_tau must be >= 8"),
+    ], ids=["nan", "negative", "zero", "too_weak", "few_taus"])
+    def test_rejected_before_any_simulation(self, monkeypatch, last, n_tau, message):
+        # a bad last alpha must not wait for every earlier alpha to be simulated
+        import bathforge.analysis
+        calls = []
+        monkeypatch.setattr(bathforge.analysis, "ramsey", lambda *a, **k: calls.append(a))
+        spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1.0,
+                         omega0=TWO_PI * 4.0, teeth=10, p=0)
+        with pytest.raises(ValidationError, match=message):
+            alpha_scaling(spec, [1.8, 2.4, 3.2, last], n_realizations=10, n_tau=n_tau)
+        assert calls == []
+
     def test_scan_csv(self, tmp_path):
         res_path = tmp_path / "scan.csv"
         from bathforge.analysis import AlphaScanResult

@@ -192,6 +192,14 @@ class TestCliRuns:
 
 
 class TestCliErrors:
+    def test_scan_alpha_too_few_points_exit_3(self, tmp_path, spec_file, capsys):
+        # rejected before the first alpha is simulated, not as a fit failure (exit 4)
+        rc = main(["scan-alpha", "--spec", spec_file, "--alphas", "1.8,2.4,3.2,4.0",
+                   "--points", "4", "--out", str(tmp_path / "scan")])
+        assert rc == 3
+        assert "n_tau must be >= 8, got 4" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path, spec_file):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("realisations = 5\n")

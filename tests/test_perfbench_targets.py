@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bathforge import NoiseSpec, Quadrature, TimeGrid, noise, qubit, rabi, ramsey
+from bathforge import NoiseSpec, Quadrature, TimeGrid, analysis, noise, qubit, rabi, ramsey
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -74,6 +74,16 @@ def test_traced_layer_counts():
     # realize samples its grid with one direct comb call, which no wrapper sees
     got = _traced_metrics(lambda: noise.realize(deph, TimeGrid(0.0, 1e-3, 8), 0))
     assert (got["noise.comb.calls"], got["noise.draw.rows"]) == (0, 1)
+
+
+def test_traced_fit_counts():
+    # fit_decay calls the solver through analysis.least_squares, the name the
+    # wrappers replace; an import of the solver inside fit_decay would count 0 starts
+    from test_analysis import synthetic_record
+    got = _traced_metrics(lambda: analysis.fit_decay(synthetic_record()))
+    assert got["analysis.fit.calls"] == 1
+    assert got["analysis.fit.starts"] == 2
+    assert got["analysis.fit.nfev"] > 0
 
 
 def test_traced_zero_alpha_ramsey_counts_one_trajectory():
