@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import alpha_scaling, export_scan_csv
+from .analysis import _MIN_FIT_POINTS, alpha_scaling, export_scan_csv
 from .config import (SPEC_OPTIONS, mapping_from_spec, parse_kv, serialize_kv,
                      spec_from_options)
 from .errors import BathforgeError, ConfigError, ValidationError, require_int
@@ -186,16 +186,16 @@ def _record_grid(opts: Options, spec: NoiseSpec) -> TimeGrid:
     return TimeGrid.periods_of(spec.omega0, opts["periods"], spp)
 
 
-def _points(opts: Options) -> int:
-    require_int("points", opts["points"], 1)
-    return opts["points"]
+def _count(opts: Options, key: str, low: int = 1) -> int:
+    """An integer option of at least ``low``; an error names its flag."""
+    require_int("--" + key.replace("_", "-"), opts[key], low)
+    return opts[key]
 
 
 def cmd_synth(args, opts: Options, spec: NoiseSpec) -> list:
-    require_int("realizations", opts["realizations"], 1)
     grid = _record_grid(opts, spec)
     outputs = []
-    for i in range(opts["realizations"]):
+    for i in range(_count(opts, "realizations")):
         path = f"{opts['out']}_{i:04d}.csv"
         export_realization_csv(realize(spec, grid, i), path)
         outputs.append(path)
@@ -274,7 +274,7 @@ def cmd_export(args, opts: Options, spec: NoiseSpec | None) -> list:
 
 def cmd_verify_psd(args, opts: Options, spec: NoiseSpec) -> list:
     grid = _record_grid(opts, spec)
-    reals = [realize(spec, grid, i) for i in range(opts["realizations"])]
+    reals = [realize(spec, grid, i) for i in range(_count(opts, "realizations"))]
     est = estimate_psd(reals)
     path = f"{opts['out']}.csv"
     export_psd_csv(est, path, carrier_power=opts["carrier_power"] or None)
@@ -291,19 +291,19 @@ def cmd_verify_psd(args, opts: Options, spec: NoiseSpec) -> list:
 
 
 def cmd_simulate(args, opts: Options, spec: NoiseSpec) -> list:
-    n = _points(opts)
+    n, n_realizations = _count(opts, "points"), _count(opts, "realizations")
     tau_max = opts["tau_max"]
     if args.variant == "ramsey":
         tau_min = opts["tau_min"] or tau_max / n
         taus = np.linspace(tau_min, tau_max, n)
         record = ramsey(spec, fringe_detuning=TWO_PI * opts["detuning_hz"],
                         pulse_rabi=TWO_PI * opts["pulse_rabi_hz"], taus=taus,
-                        n_realizations=opts["realizations"],
+                        n_realizations=n_realizations,
                         noise_during_pulses=opts["pulse_noise"])
     else:
         durations = np.linspace(0.0, tau_max, n)
         record = rabi(spec, drive_rabi=TWO_PI * opts["drive_rabi_hz"],
-                      durations=durations, n_realizations=opts["realizations"])
+                      durations=durations, n_realizations=n_realizations)
     opts.values["out"] = opts.values["out"] or f"simulate_{args.variant}"
     path = f"{opts['out']}.csv"
     export_record_csv(record, path)
@@ -312,7 +312,7 @@ def cmd_simulate(args, opts: Options, spec: NoiseSpec) -> list:
 
 
 def cmd_predict(args, opts: Options, spec: NoiseSpec) -> list:
-    taus = np.linspace(opts["tau_min"], opts["tau_max"], _points(opts))
+    taus = np.linspace(opts["tau_min"], opts["tau_max"], _count(opts, "points"))
     curve = coherence_curve(spec, taus)
     path = f"{opts['out']}.csv"
     write_csv(path, [curve.tau, curve.chi, fidelity_from_chi(curve.chi)],
@@ -322,10 +322,10 @@ def cmd_predict(args, opts: Options, spec: NoiseSpec) -> list:
 
 
 def cmd_scan_alpha(args, opts: Options, spec: NoiseSpec) -> list:
+    n_tau = _count(opts, "points", _MIN_FIT_POINTS)
     result = alpha_scaling(spec, opts["alphas"],
-                           n_realizations=opts["realizations"],
-                           pulse_rabi=TWO_PI * opts["pulse_rabi_hz"],
-                           n_tau=_points(opts))
+                           n_realizations=_count(opts, "realizations"),
+                           pulse_rabi=TWO_PI * opts["pulse_rabi_hz"], n_tau=n_tau)
     path = f"{opts['out']}.csv"
     export_scan_csv(result, path)
     print(f"T2^-1 ~ alpha^x with x = {result.exponent:.3f} +- {result.exponent_err:.3f}")

@@ -343,7 +343,7 @@ def _comb_eval(times: np.ndarray, omega0: float, c: np.ndarray,
 
 
 def _coefficients(amps: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Coefficient rows ``amps * e^{i psi}`` of a draw or block, from phases or phasors."""
+    """Coefficient rows ``amps * e^{i psi}`` of a draw or block, from phases or scaled phasors."""
     return amps * (psi if np.iscomplexobj(psi) else phasors(psi))
 
 
@@ -367,7 +367,7 @@ def detuning_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) ->
 
 
 def amplitude_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """beta_Omega at arbitrary times (no Nyquist check); batch-aware."""
+    """beta_Omega at arbitrary times (no Nyquist check); batch-aware; psi may be scaled phasors."""
     if spec.quadrature is not Quadrature.AMPLITUDE:
         raise ValidationError("amplitude waveform is defined for amplitude specs only")
     return _comb_eval(times, spec.omega0, _coefficients(_drive_amplitudes(spec), psi))
@@ -385,17 +385,22 @@ def _drive_amplitudes(spec: NoiseSpec) -> np.ndarray:
     return amps
 
 
+def _require_nyquist(spec: NoiseSpec, dt: float) -> None:
+    """Reject a step past pi/(J*omega0), where the highest comb tooth aliases."""
+    limit = math.pi / spec.omega_cutoff
+    if dt > limit:
+        raise NyquistError(
+            f"dt={dt:g} s exceeds the Nyquist limit pi/(J*omega0)={limit:g} s "
+            f"for the highest comb tooth")
+
+
 def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRealization:
     """Draw phases for one ensemble member and sample its waveforms on the grid.
 
     One comb call samples the whole grid by block shift, beta and phi_N
     together for a dephasing spec (see the module docstring).
     """
-    limit = math.pi / spec.omega_cutoff
-    if grid.dt > limit:
-        raise NyquistError(
-            f"grid dt={grid.dt:g} s exceeds the Nyquist limit pi/(J*omega0)={limit:g} s "
-            f"for the highest comb tooth")
+    _require_nyquist(spec, grid.dt)
     draw = draw_phases(spec, realization_index)
     if spec.quadrature is Quadrature.DEPHASING:
         amps = np.stack([spec.tooth_amplitudes(), _phase_amplitudes(spec)])

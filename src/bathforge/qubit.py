@@ -17,8 +17,8 @@ population readout cannot see the final Rz.  Free evolution under pure
 sigma_z terms is applied in closed form through differences of the
 accumulated phase phi_N (sigma_z terms at different times commute), so it
 carries no discretization error.  The Rabi drive commutes with itself too
-(sigma_x at every step), so each trajectory is one x rotation by the
-midpoint sum of its sampled drive, theta = dt * sum_k Omega_k.  At
+(sigma_x at every step), so each trajectory is one x rotation; its midpoint
+sum is a geometric series per tooth, one comb call for every mark.  At
 alpha = 0 every realization is the same trajectory, so Ramsey and Rabi
 simulate one row and report standard errors of exactly 0.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError, require_int, require_sweep
 from .grid import write_csv
-from .noise import (NoiseSpec, Quadrature, amplitude_waveform_at,
+from .noise import (NoiseSpec, Quadrature, _require_nyquist, amplitude_waveform_at,
                     detuning_waveform_at, draw_phase_matrix, phase_waveform_at, phasors)
 
 _STEP_LIMIT = 0.05  # max rotation angle per piecewise-constant step, rad
@@ -267,13 +267,13 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     """Driven Rabi flopping under engineered amplitude noise.
 
     Each ensemble member is one continuous drive trajectory with
-    Omega(t) = Omega_0 (1 + beta(t)); populations are recorded when the
-    running time crosses each requested duration (snapped to the step grid,
-    the snapped values are returned as the sweep).  The default step keeps
-    both the drive rotation per step below 0.05 rad and the sample rate at
-    >= 20x the highest comb tooth; pass ``dt`` to override, e.g. for
-    step-refinement convergence checks.  A ``dt`` whose drive rotation per
-    step exceeds 0.05 rad is rejected.  At alpha = 0 every member is the
+    Omega(t) = Omega_0 (1 + beta(t)) at step midpoints; populations are
+    recorded when the running time crosses each requested duration (snapped
+    to the step grid, the snapped values are returned as the sweep).  The
+    default step keeps both the drive rotation per step below 0.05 rad and
+    the sample rate at >= 20x the highest comb tooth.  A user ``dt`` with
+    Omega_0 (1 + sum_j |a_j|) dt > 0.05 rad is rejected, and one past
+    pi/(J omega0) raises ``NyquistError``.  At alpha = 0 every member is the
     same trajectory, so it is simulated once and the standard errors are 0.
     """
     if spec.quadrature is not Quadrature.AMPLITUDE:
@@ -281,23 +281,24 @@ def rabi(spec: NoiseSpec, *, drive_rabi: float, durations: Sequence[float],
     require_int("n_realizations", n_realizations, 1)
     _require_positive("drive_rabi", drive_rabi)
     durations = require_sweep("durations", durations)
-    beta_bound = float(np.sum(np.abs(spec.tooth_amplitudes())))
-    om_bound = drive_rabi * (1.0 + beta_bound)
+    om_bound = drive_rabi * (1.0 + float(np.sum(np.abs(spec.tooth_amplitudes()))))
     if dt is None:
         dt = min(_STEP_LIMIT / om_bound, math.pi / (10.0 * spec.omega_cutoff))
     _require_positive("dt", dt)
+    if om_bound * dt > _STEP_LIMIT * (1 + 1e-9):
+        raise ValidationError(f"Omega*dt can exceed {_STEP_LIMIT} rad per step")
+    _require_nyquist(spec, dt)  # below it, no sin(w_j dt/2) is 0
     t_max = float(np.max(durations))
     n_steps = max(1, int(math.ceil(t_max / dt - 1e-12)))
     marks = np.clip(np.round(durations / dt).astype(int), 0, n_steps)
+    # distinct marks, sorted and with 0 first, so no value depends on sweep order
+    steps, where = np.unique(np.concatenate(([0], marks)), return_inverse=True)
     # at alpha = 0 every realization is the same trajectory
     z = phasors(draw_phase_matrix(spec, range(n_realizations if spec.alpha > 0 else 1)))
-    mids = dt * (np.arange(n_steps) + 0.5)
-    omega = drive_rabi * (1.0 + amplitude_waveform_at(spec, z, mids))
-    if max(omega.max(), -omega.min()) * dt > _STEP_LIMIT * (1 + 1e-9):
-        raise ValidationError(f"Omega*dt exceeds {_STEP_LIMIT} rad per step")
-    # x rotations commute: the angle at mark k is dt times the sum of steps < k
-    np.cumsum(omega, axis=-1, out=omega)
-    theta = dt * np.where(marks > 0, omega[:, marks - 1], 0.0)
+    # theta_n = Omega_0 dt [n + Re sum_j a_j z_j (e^{i w_j n dt} - 1) / (2i sin(w_j dt/2))]
+    wiggle = amplitude_waveform_at(
+        spec, z / (2j * np.sin(0.5 * dt * spec.tooth_frequencies())), dt * steps)
+    theta = drive_rabi * dt * (steps + (wiggle - wiggle[:, :1]))[:, where[1:]]
     mean, se = _mean_stderr(np.sin(0.5 * theta) ** 2)
     return ExperimentRecord(
         kind="rabi", sweep=marks * dt, mean=mean, stderr=se,

@@ -197,8 +197,31 @@ class TestCliErrors:
         rc = main(["scan-alpha", "--spec", spec_file, "--alphas", "1.8,2.4,3.2,4.0",
                    "--points", "4", "--out", str(tmp_path / "scan")])
         assert rc == 3
-        assert "n_tau must be >= 8, got 4" in capsys.readouterr().err
+        assert "--points must be >= 8, got 4" in capsys.readouterr().err
         assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["scan-alpha", "--alphas", "1.8,2.4,3.2,4.0", "--points", "4"],
+         "--points must be >= 8, got 4"),
+        (["scan-alpha", "--alphas", "1.8,2.4,3.2,4.0", "--realizations", "0"],
+         "--realizations must be >= 1, got 0"),
+        (["simulate", "ramsey", "--tau-max", "0.004", "--realizations", "0"],
+         "--realizations must be >= 1, got 0"),
+        (["simulate", "rabi", "--quadrature", "amplitude", "--alpha", "0.01",
+          "--tau-max", "0.004", "--realizations", "0"], "--realizations must be >= 1, got 0"),
+        (["verify-psd", "--realizations", "0"], "--realizations must be >= 1, got 0"),
+    ], ids=["scan_alpha_points", "scan_alpha_realizations", "simulate_ramsey_realizations",
+            "simulate_rabi_realizations", "verify_psd_realizations"])
+    def test_range_error_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
+        # checked in the CLI before any draw, simulation or scan starts
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "white.cfg").write_text(WHITE_CFG)
+        for name in ("realize", "ramsey", "rabi", "alpha_scaling"):
+            monkeypatch.setattr(f"bathforge.cli.{name}", None)
+        rc = main(argv + ["--spec", "white.cfg", "--out", "x"])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
     def test_unknown_config_key_exit_2(self, tmp_path, spec_file):
         cfg = tmp_path / "run.cfg"

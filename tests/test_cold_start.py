@@ -40,7 +40,10 @@ CHILD = textwrap.dedent("""
                  ["export", "--program", "prog.txt", "--rate", "8000", "--format", "both",
                   "--out", "wave"],
                  ["simulate", "ramsey", "--tau-max", "0.004", "--points", "4",
-                  "--realizations", "3", "--out", "ram"]):
+                  "--realizations", "3", "--out", "ram"],
+                 ["simulate", "rabi", "--quadrature", "amplitude", "--alpha", "0.01",
+                  "--tau-max", "0.004", "--points", "4", "--realizations", "3",
+                  "--out", "rabi"]):
         assert main(argv + spec) == 0, argv
     stages["cli"] = scipy_loaded()
 

@@ -59,8 +59,8 @@ DIGESTS = {
         "scan.manifest": "cf260e0ceafe021a584caf3e79bd28e9e1129b7139dd83ba2035fc0c4d19c25c",
     },
     "simulate_rabi": {
-        "rabi.csv": "cde03e50594415913bfeb99cfda33d16666df943b2d16035bb44389da39d73bd",
-        "rabi.manifest": "6c3003ea6ee705c15d0b81878825725910e6199e2b1765f6d75127878d0d98f0",
+        "rabi.csv": "2c7f34a61df232980ad74846f51b8492448fbea1e6b2f04aaa0d1a6f739357ac",
+        "rabi.manifest": "a5467e85d07936d24788c02291b64147de3a96b3f5c95a5e066f0bd8a313e181",
     },
     "simulate_ramsey": {
         "ramsey.csv": "fb69d2258eebbe8a05429794be2432b9ddd0c3a54be02e2641f7fdf3f4493aab",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
-from bathforge import (HamiltonianSamples, NoiseSpec, Quadrature, ValidationError,
+from bathforge import (HamiltonianSamples, NoiseSpec, NyquistError, Quadrature,
+                       ValidationError,
                        chi_fid_comb, ket0, population_1, propagate, rabi, ramsey,
                        rotate_z)
 from bathforge.noise import (amplitude_waveform_at, detuning_waveform_at,
@@ -494,6 +496,22 @@ def rabi_closed_form(spec, drive_rabi, times, psi):
     return out
 
 
+def rabi_midpoint_sum(spec, drive_rabi, dt, marks, psi):
+    """P1 at each mark from the explicit step-by-step midpoint sum, in long double.
+
+    theta_n = Omega0 dt sum_{k<n} [1 + sum_j a_j cos(j omega0 (k + 1/2) dt + psi_j)]
+    """
+    ld = np.longdouble
+    t = (np.arange(max(marks), dtype=ld) + ld(0.5)) * ld(dt)
+    w = ld(spec.omega0) * np.arange(1, spec.teeth + 1, dtype=ld)
+    a = spec.tooth_amplitudes().astype(ld)
+    phase = w[None, :, None] * t + psi.astype(ld)[:, :, None]
+    drive = ld(drive_rabi) * ld(dt) * (1 + np.sum(a[:, None] * np.cos(phase), axis=1))
+    theta = np.concatenate((np.zeros((len(psi), 1), dtype=ld), np.cumsum(drive, axis=-1)),
+                           axis=-1)
+    return np.sin(theta[:, marks] / 2) ** 2
+
+
 class TestRabi:
     def test_zero_alpha_exact(self):
         spec = amp_spec(0.0)
@@ -609,6 +627,53 @@ class TestRabi:
         for field in ("sweep", "mean", "stderr"):
             assert np.array_equal(getattr(shuffled, field), getattr(ref, field)[where])
         assert np.all(shuffled.mean[durations == 0.0] == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(teeth=st.integers(1, 24), rows=st.integers(1, 6), strength=st.floats(0.0, 0.9),
+           dt_frac=st.floats(0.05, 1.0), drive_frac=st.floats(0.05, 1.0),
+           marks=st.lists(st.integers(0, 2000), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_long_double_midpoint_sum(self, teeth, rows, strength, dt_frac,
+                                              drive_frac, marks, seed):
+        # a user dt up to the Nyquist limit, and the strongest drive the per-step
+        # bound allows; the marks include 0 and a duplicate
+        spec = amp_spec(strength / teeth, teeth=teeth, seed=seed)
+        dt = dt_frac * math.pi / spec.omega_cutoff
+        drive = drive_frac * qubit._STEP_LIMIT / (dt * (1.0 + strength))
+        marks = [0] + marks + marks[:1]
+        rec = rabi(spec, drive_rabi=drive, durations=dt * np.array(marks),
+                   n_realizations=rows, dt=dt)
+        exact = rabi_midpoint_sum(spec, drive, dt, marks, draw_phase_matrix(spec, range(rows)))
+        assert np.max(np.abs(rec.mean - exact.mean(axis=0))) < 1e-12
+
+    def test_dt_past_nyquist_rejected(self, monkeypatch):
+        spec = amp_spec(0.03)
+        limit = math.pi / spec.omega_cutoff
+        kwargs = dict(drive_rabi=1.0, durations=[1.0], n_realizations=2)
+        assert rabi(spec, dt=limit, **kwargs).meta["dt"] == limit
+        monkeypatch.setattr(qubit, "draw_phase_matrix", None)  # rejected before any draw
+        with pytest.raises(NyquistError, match="Nyquist"):
+            rabi(spec, dt=limit * (1 + 1e-9), **kwargs)
+
+    def test_step_bound_rejected_before_any_draw(self, monkeypatch):
+        # 0.045 rad per step without noise, 0.045 x (1 + 0.6) at the noise bound
+        monkeypatch.setattr(qubit, "draw_phase_matrix", None)
+        with pytest.raises(ValidationError, match="Omega"):
+            rabi(amp_spec(0.03), drive_rabi=TWO_PI * 1e3, durations=[1e-3],
+                 n_realizations=2, dt=0.045 / (TWO_PI * 1e3))
+
+    def test_memory_flat_in_step_count(self):
+        # 50 rows over ~1.2e5 steps: one (rows, n_steps) float table would be 48 MB
+        spec = amp_spec(0.03)
+        tracemalloc.start()
+        try:
+            rec = rabi(spec, drive_rabi=TWO_PI * 100.0, durations=np.linspace(0.0, 6.0, 64),
+                       n_realizations=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rec.meta["n_steps"] > 1.1e5
+        assert peak < 5e6
 
     def test_deterministic(self):
         spec = amp_spec(0.02, seed=3)
