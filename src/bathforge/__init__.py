@@ -7,13 +7,13 @@ amplitude-noise Hamiltonians, and verify everything against analytic
 filter-function predictions and spectral oracles.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import (AmplitudeRangeWarning, BathforgeError, ConfigError, FitError,
                      NyquistError, ValidationError)
 from .grid import TimeGrid
-from .noise import (AnalyticComb, NoiseRealization, NoiseSpec, PhaseDraw, Quadrature,
-                    analytic_psd, draw_phases, envelope_values, realize)
+from .noise import (AnalyticComb, NoiseRealization, NoiseSpec, Quadrature, analytic_psd,
+                    draw_phases, realize)
 from .filter_theory import (CoherenceCurve, chi_fid_comb, chi_white_analytic,
                             coherence_curve, fidelity_from_chi, predicted_t2)
 from .spectral import (PsdEstimate, SidebandComb, estimate_psd, fit_tooth_powerlaw,

@@ -65,7 +65,7 @@ _COMMANDS = {
         "detuning_hz": (float, 1000.0, "Ramsey fringe detuning, Hz"),
         "pulse_rabi_hz": (float, 1.0e4, "pi/2 pulse Rabi rate, Hz"),
         "drive_rabi_hz": (float, 1000.0, "Rabi drive rate, Hz"),
-        "tau_min": (float, 0.0, "smallest sweep value, s (0 = auto)"),
+        "tau_min": (float, 0.0, "smallest sweep value, s (ramsey: 0 = tau_max/points)"),
         "tau_max": (float, None, "largest sweep value, s"),
         "points": (int, 40, "sweep points"),
         "pulse_noise": (bool, True, "apply dephasing noise during pulses"),
@@ -182,8 +182,9 @@ def _write_manifest(path, command: str, opts: Options, spec: NoiseSpec | None,
 # Each command takes (args, opts, spec) and returns the paths it wrote.
 
 def _record_grid(opts: Options, spec: NoiseSpec) -> TimeGrid:
-    spp = opts["samples_per_period"] or max(4 * spec.teeth + 1, 64)
-    return TimeGrid.periods_of(spec.omega0, opts["periods"], spp)
+    spp = opts["samples_per_period"] and _count(opts, "samples_per_period", 2)
+    return TimeGrid.periods_of(spec.omega0, _count(opts, "periods"),
+                               spp or max(4 * spec.teeth + 1, 64))
 
 
 def _count(opts: Options, key: str, low: int = 1) -> int:
@@ -232,6 +233,7 @@ def cmd_export(args, opts: Options, spec: NoiseSpec | None) -> list:
     fmt = opts["format"]
     if fmt not in ("csv", "bin", "both"):
         raise ConfigError("format must be csv, bin or both")
+    index = _count(opts, "realization_index", 0)
     program = _load_program(opts["program"])
     rate = opts["rate"]
     if not (math.isfinite(rate) and rate > 0):
@@ -241,14 +243,14 @@ def cmd_export(args, opts: Options, spec: NoiseSpec | None) -> list:
     if n < 1:
         raise ValidationError(
             f"program of {program.duration:g} s is shorter than one sample at {rate:g} Hz")
-    grid = TimeGrid(t0=0.0, dt=1.0 / rate, n=n)
+    grid = TimeGrid(dt=1.0 / rate, n=n)
     real = None
     if spec is not None:
         if rate < 20.0 * spec.omega_cutoff / TWO_PI:
             raise ValidationError(
                 f"sample rate {rate:g} Hz is below 20x the highest comb tooth "
                 f"({20.0 * spec.omega_cutoff / TWO_PI:g} Hz)")
-        real = realize(spec, grid, opts["realization_index"])
+        real = realize(spec, grid, index)
     omega, phi = compose(program, grid, real)
     wave = to_iq(omega, phi, rate)
     report = continuity_report(wave, opts["jump_threshold"] or None)
@@ -301,7 +303,7 @@ def cmd_simulate(args, opts: Options, spec: NoiseSpec) -> list:
                         n_realizations=n_realizations,
                         noise_during_pulses=opts["pulse_noise"])
     else:
-        durations = np.linspace(0.0, tau_max, n)
+        durations = np.linspace(opts["tau_min"], tau_max, n)
         record = rabi(spec, drive_rabi=TWO_PI * opts["drive_rabi_hz"],
                       durations=durations, n_realizations=n_realizations)
     opts.values["out"] = opts.values["out"] or f"simulate_{args.variant}"

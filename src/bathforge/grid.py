@@ -1,5 +1,5 @@
-"""Uniform time grids shared by noise synthesis, waveform compilation and simulation,
-and the one CSV writer every exported table goes through."""
+"""Uniform time grids from t = 0 shared by noise synthesis, waveform compilation and
+simulation, and the one CSV writer every exported table goes through."""
 
 from __future__ import annotations
 
@@ -23,19 +23,16 @@ _finished = contextvars.ContextVar("finished_outputs", default=None)
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: ``n`` samples at ``t0 + k*dt`` for k = 0..n-1.
+    """Uniform sampling grid from t = 0: ``n`` samples at ``k*dt`` for k = 0..n-1.
 
-    The sample at ``t0 + n*dt`` is excluded, so a grid spanning exactly one
+    The sample at ``n*dt`` is excluded, so a grid spanning exactly one
     period of a periodic signal contains each phase point once.
     """
 
-    t0: float
     dt: float
     n: int
 
     def __post_init__(self):
-        if not math.isfinite(self.t0):
-            raise ValidationError(f"grid t0 must be finite, got {self.t0}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"grid dt must be finite and positive, got {self.dt}")
         require_int("grid n", self.n, 1)
@@ -45,11 +42,11 @@ class TimeGrid:
         return self.n * self.dt
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
+        return self.dt * np.arange(self.n)
 
     @classmethod
     def periods_of(cls, omega0: float, k: int, samples_per_period: int) -> "TimeGrid":
-        """Grid from t = 0 covering exactly ``k`` base periods 2*pi/omega0.
+        """Grid covering exactly ``k`` base periods 2*pi/omega0.
 
         Snapping records to whole periods keeps comb waveforms continuous
         across the record boundary and puts every tooth on an FFT bin.
@@ -60,7 +57,7 @@ class TimeGrid:
             raise ValidationError("need k >= 1 periods and >= 2 samples per period")
         period = 2.0 * math.pi / omega0
         n = k * samples_per_period
-        return cls(t0=0.0, dt=k * period / n, n=n)
+        return cls(dt=k * period / n, n=n)
 
 
 @contextlib.contextmanager

@@ -35,7 +35,7 @@ starts, so their rows are the coefficients themselves.  They take the phases
 ``psi`` or their phasors; a caller that evaluates one draw block more than
 once passes ``phasors(psi)`` and pays for cos and sin of the block once.
 :func:`realize` samples a uniform grid by block shift: offsets ``r*dt`` for
-``r < B = min(_TIME_BLOCK, n)`` and ``Q = ceil(n/B)`` starts ``t0 + q*B*dt``.
+``r < B = min(_TIME_BLOCK, n)`` and ``Q = ceil(n/B)`` starts ``q*B*dt``.
 A record of up to ``_TIME_BLOCK**2`` samples with k rows is then one
 (k*Q, J) @ (J, B) product, and J teeth on n samples transform ``J + B + Q``
 values; beta and phi_N of a dephasing spec are two rows of that product.
@@ -152,10 +152,18 @@ class NoiseSpec:
         return self.omega0 * np.arange(1, self.teeth + 1)
 
     def envelope_table(self) -> np.ndarray:
-        """F(j) for j = 1..J, from the power law or the explicit table."""
+        """F(j) for j = 1..J, from the explicit table or the power law.
+
+        Dephasing combs use ``F(j) = j**(p/2 - 1)`` because the physical noise is
+        the time derivative of the phase modulation, which promotes each tooth by
+        one power of frequency; amplitude combs use ``F(j) = j**(p/2)`` directly.
+        """
         if self.envelope is not None:
             return np.asarray(self.envelope, dtype=float)
-        return envelope_values(self)
+        j = np.arange(1, self.teeth + 1, dtype=float)
+        if self.quadrature is Quadrature.DEPHASING:
+            return j ** (self.p / 2.0 - 1.0)
+        return j ** (self.p / 2.0)
 
     def tooth_amplitudes(self) -> np.ndarray:
         """Tooth amplitudes a_j, j = 1..J, of the physical noise (see the module docstring)."""
@@ -173,23 +181,8 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class PhaseDraw:
-    """One vector of J random tooth phases in [0, 2*pi)."""
-
-    psi: np.ndarray
-    realization_index: int = 0
-
-    def __post_init__(self):
-        require_int("realization_index", self.realization_index, 0, _MAX_U64)
-        psi = np.asarray(self.psi, dtype=float)
-        object.__setattr__(self, "psi", psi)
-        if psi.ndim != 1:
-            raise ValidationError("psi must be a 1-d vector")
-
-
-@dataclass(frozen=True)
 class NoiseRealization:
-    """A sampled noise trajectory plus the draw and grid that produced it.
+    """A sampled noise trajectory plus the realization index and grid that produced it.
 
     ``beta`` is beta_z in rad/s for dephasing specs and the dimensionless
     fractional modulation beta_Omega for amplitude specs.  ``phi_n`` holds
@@ -197,37 +190,20 @@ class NoiseRealization:
     """
 
     spec: NoiseSpec
-    draw: PhaseDraw
+    realization_index: int
     grid: TimeGrid
     beta: np.ndarray
     phi_n: Optional[np.ndarray] = None
 
 
-def envelope_values(spec: NoiseSpec) -> np.ndarray:
-    """Tooth envelope F(j), j = 1..J, for a power-law spec.
-
-    Dephasing combs use ``F(j) = j**(p/2 - 1)`` because the physical noise is
-    the time derivative of the phase modulation, which promotes each tooth by
-    one power of frequency; amplitude combs use ``F(j) = j**(p/2)`` directly.
-    """
-    if spec.p is None:
-        raise ValidationError("envelope_values requires a power-law spec; "
-                              "use spec.envelope_table() for explicit tables")
-    j = np.arange(1, spec.teeth + 1, dtype=float)
-    if spec.quadrature is Quadrature.DEPHASING:
-        return j ** (spec.p / 2.0 - 1.0)
-    return j ** (spec.p / 2.0)
-
-
-def draw_phases(spec: NoiseSpec, realization_index: int) -> PhaseDraw:
-    """Deterministic phase draw for one ensemble member.
+def draw_phases(spec: NoiseSpec, realization_index: int) -> np.ndarray:
+    """Deterministic (J,) phase draw in [0, 2*pi) for one ensemble member.
 
     Streams are keyed by (seed, realization_index) so distinct indices are
     statistically independent and any subset can be generated in any order,
     on any number of workers, with identical results.
     """
-    psi = draw_phase_matrix(spec, [realization_index])[0]
-    return PhaseDraw(psi=psi, realization_index=realization_index)
+    return draw_phase_matrix(spec, [realization_index])[0]
 
 
 def draw_phase_matrix(spec: NoiseSpec, indices: Sequence[int]) -> np.ndarray:
@@ -401,18 +377,18 @@ def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRea
     together for a dephasing spec (see the module docstring).
     """
     _require_nyquist(spec, grid.dt)
-    draw = draw_phases(spec, realization_index)
+    psi = draw_phases(spec, realization_index)
     if spec.quadrature is Quadrature.DEPHASING:
         amps = np.stack([spec.tooth_amplitudes(), _phase_amplitudes(spec)])
     else:
         amps = _drive_amplitudes(spec)
     block = min(_TIME_BLOCK, grid.n)
-    starts = grid.t0 + grid.dt * np.arange(0, grid.n, block)
+    starts = grid.dt * np.arange(0, grid.n, block)
     waves = _comb_eval(grid.dt * np.arange(block), spec.omega0,
-                       _coefficients(amps, draw.psi), starts)[..., :grid.n]
+                       _coefficients(amps, psi), starts)[..., :grid.n]
     if spec.quadrature is Quadrature.DEPHASING:
-        return NoiseRealization(spec=spec, draw=draw, grid=grid, beta=waves[0], phi_n=waves[1])
-    return NoiseRealization(spec=spec, draw=draw, grid=grid, beta=waves)
+        return NoiseRealization(spec, realization_index, grid, beta=waves[0], phi_n=waves[1])
+    return NoiseRealization(spec, realization_index, grid, beta=waves)
 
 
 @dataclass(frozen=True)
@@ -447,4 +423,4 @@ def export_realization_csv(realization: NoiseRealization, path) -> None:
         cols.append(realization.phi_n)
         names += ",phi_n"
     write_csv(path, cols, f"# bathforge realization spec={realization.spec.spec_hash()} "
-                          f"index={realization.draw.realization_index}\n{names}")
+                          f"index={realization.realization_index}\n{names}")

@@ -106,7 +106,7 @@ def compose(program: ControlProgram, grid: TimeGrid,
     if any(seg.detuning != 0 for seg in program.segments):
         raise ValidationError("segment detuning is not implemented; it must be 0")
     t = grid.times()
-    if grid.t0 < -1e-15 or grid.t0 + grid.duration > program.duration * (1 + 1e-12):
+    if grid.duration > program.duration * (1 + 1e-12):
         raise ValidationError("grid extends beyond the program's end")
     if noise is not None and noise.grid != grid:
         raise ValidationError("noise grid does not match the sampling grid")
@@ -132,40 +132,39 @@ def to_iq(omega: np.ndarray, phi: np.ndarray, sample_rate: float) -> IQWaveform:
                       i=omega * np.cos(phi), q=omega * np.sin(phi))
 
 
-def quantize(w: IQWaveform, bits: int = 16,
-             full_scale: Optional[float] = None) -> IQWaveform:
+def quantize(w: IQWaveform, bits: int = 16) -> IQWaveform:
     """Symmetric mid-tread quantization to ``2**bits`` levels.
 
-    Codes are round(x / step) with step = full_scale / 2**(bits-1); valid
-    codes span +-(2**(bits-1) - 1), and samples that would round outside
-    raise instead of clipping silently.  When ``full_scale`` is omitted it
-    is chosen so the waveform peak maps exactly to the top code.  The
-    injected error is at most half a step per sample; the resulting SNR is
-    reported on the quantized block.  ``bits`` is at most 16, the width of
-    the binary export format.
+    Codes are round(x / step) with step = full_scale / 2**(bits-1), and the
+    full scale is chosen so the waveform peak maps exactly to the top code
+    +-(2**(bits-1) - 1); an all-zero waveform gets full scale 1.  A sample
+    that would round outside that range, as when the step of a subnormal peak
+    underflows, raises instead of clipping silently.  The injected error is at
+    most half a step per sample; the resulting SNR is reported on the
+    quantized block.  ``bits`` is at most 16, the width of the binary export
+    format.
     """
     require_int("bits", bits, 2, 16)
     if not (np.all(np.isfinite(w.i)) and np.all(np.isfinite(w.q))):
         raise ValidationError("IQ samples must be finite to quantize")
     levels = 2 ** (bits - 1)
     peak = float(max(np.max(np.abs(w.i)), np.max(np.abs(w.q))))
-    if full_scale is None:
-        full_scale = peak * levels / (levels - 1) if peak > 0 else 1.0
-    if not (math.isfinite(full_scale) and full_scale > 0):
-        raise ValidationError(f"full scale must be finite and positive, got {full_scale}")
-    step = full_scale / levels
-    ci = np.round(w.i / step)
-    cq = np.round(w.q / step)
     top = levels - 1
+    # peak/top is exactly full_scale/levels, and cannot overflow for a huge peak
+    step = peak / top if peak > 0 else 1.0 / levels
+    full_scale = step * levels
+    # in units of the step, so the sums of squares below cannot underflow
+    i, q = w.i / step, w.q / step
+    ci, cq = np.round(i), np.round(q)
     if np.any(np.abs(ci) > top) or np.any(np.abs(cq) > top):
         raise ValidationError(
             f"samples exceed the representable range +-{top * step:g} "
             f"(full scale {full_scale:g}, {bits} bits); refusing to clip")
-    err = np.sum((w.i - ci * step) ** 2) + np.sum((w.q - cq * step) ** 2)
-    sig = np.sum(w.i**2) + np.sum(w.q**2)
+    err = np.sum((i - ci) ** 2) + np.sum((q - cq) ** 2)
+    sig = np.sum(i**2) + np.sum(q**2)
     snr_db = math.inf if err == 0 else 10.0 * math.log10(sig / err)
     qz = QuantizedIQ(codes_i=ci.astype(np.int16), codes_q=cq.astype(np.int16),
-                     bits=bits, full_scale=float(full_scale), snr_db=snr_db)
+                     bits=bits, full_scale=full_scale, snr_db=snr_db)
     return IQWaveform(sample_rate=w.sample_rate, i=w.i, q=w.q, quantized=qz)
 
 

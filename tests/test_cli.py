@@ -133,6 +133,18 @@ class TestCliRuns:
         assert rows[1] == "sweep,mean,stderr"
         assert len(rows) == 2 + 8
 
+    def test_simulate_rabi_starts_at_tau_min(self, tmp_path, spec_file):
+        out = str(tmp_path / "rabi")
+        rc = main(["simulate", "rabi", "--spec", spec_file, "--quadrature",
+                   "amplitude", "--alpha", "0.01", "--teeth", "10",
+                   "--drive-rabi-hz", "500", "--tau-min", "0.001", "--tau-max", "0.004",
+                   "--points", "4", "--realizations", "2", "--out", out])
+        assert rc == 0
+        rows = (tmp_path / "rabi.csv").read_text().splitlines()[2:]
+        sweep = [float(r.split(",")[0]) for r in rows]
+        # durations are snapped to the step grid, far finer than the 1 ms spacing
+        assert np.allclose(sweep, [0.001, 0.002, 0.003, 0.004], rtol=0, atol=1e-5)
+
     def test_predict_chi_matches_module(self, tmp_path, spec_file):
         out = str(tmp_path / "chi")
         rc = main(["predict", "chi", "--spec", spec_file, "--tau-min", "0.001",
@@ -210,8 +222,16 @@ class TestCliErrors:
         (["simulate", "rabi", "--quadrature", "amplitude", "--alpha", "0.01",
           "--tau-max", "0.004", "--realizations", "0"], "--realizations must be >= 1, got 0"),
         (["verify-psd", "--realizations", "0"], "--realizations must be >= 1, got 0"),
+        (["synth", "--periods", "0"], "--periods must be >= 1, got 0"),
+        (["synth", "--samples-per-period", "1"], "--samples-per-period must be >= 2, got 1"),
+        (["verify-psd", "--samples-per-period", "-3"],
+         "--samples-per-period must be >= 2, got -3"),
+        (["export", "--program", "prog.txt", "--rate", "8000", "--realization-index", "-1"],
+         "--realization-index must be >= 0, got -1"),
     ], ids=["scan_alpha_points", "scan_alpha_realizations", "simulate_ramsey_realizations",
-            "simulate_rabi_realizations", "verify_psd_realizations"])
+            "simulate_rabi_realizations", "verify_psd_realizations", "synth_periods",
+            "synth_samples_per_period", "verify_psd_samples_per_period",
+            "export_realization_index"])
     def test_range_error_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
         # checked in the CLI before any draw, simulation or scan starts
         monkeypatch.chdir(tmp_path)

@@ -72,7 +72,7 @@ def test_traced_layer_counts():
         amp, drive_rabi=two_pi * 100.0, durations=[0.0, 1e-3], n_realizations=n))
     assert (got["noise.comb.calls"], got["noise.draw.rows"]) == (1, n)
     # realize samples its grid with one direct comb call, which no wrapper sees
-    got = _traced_metrics(lambda: noise.realize(deph, TimeGrid(0.0, 1e-3, 8), 0))
+    got = _traced_metrics(lambda: noise.realize(deph, TimeGrid(1e-3, 8), 0))
     assert (got["noise.comb.calls"], got["noise.draw.rows"]) == (0, 1)
 
 

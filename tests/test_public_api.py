@@ -92,6 +92,90 @@ def test_every_private_function_has_a_caller_in_src():
     assert orphans == []
 
 
+# Defaulted parameters kept with no caller in the program, each with the
+# test that sets it.
+TEST_ONLY_SETTINGS = {
+    "rabi.dt": "criterion 7's step refinement and ROADMAP item 2's coarse-dt oracle",
+    "uniform_prior.n_points": "criterion 8",
+}
+
+
+def _defaulted(fn):
+    """(name, position or None) of each defaulted parameter of ``fn``; the
+    position is counted without ``self``/``cls``."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    return ([(name, pos) for pos, name in enumerate(positional) if pos >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def optional_settings():
+    """(label, callee name, parameter, position, path, definition node) of every
+    defaulted parameter of a public function or method and every defaulted
+    dataclass field under src/bathforge."""
+    settings = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                settings += [(f"{node.name}.{name}", node.name, name, pos, path, node)
+                             for name, pos in _defaulted(node)]
+            elif isinstance(node, ast.ClassDef):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                          and "ClassVar" not in ast.unparse(item.annotation)]
+                if _is_dataclass(node):
+                    settings += [(f"{node.name}.{f.target.id}", node.name, f.target.id, pos,
+                                  path, node) for pos, f in enumerate(fields)
+                                 if f.value is not None]
+                settings += [(f"{node.name}.{item.name}.{name}", item.name, name, pos,
+                              path, item)
+                             for item in node.body if isinstance(item, ast.FunctionDef)
+                             and not item.name.startswith("_")
+                             for name, pos in _defaulted(item)]
+    return settings
+
+
+def _readme_python():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return "\n".join(blocks)
+
+
+def program_calls():
+    """(path, call node) of every call in src/bathforge, perfbench and the
+    README's Python blocks."""
+    sources = [(p, p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    sources += [(p, p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources.append((ROOT / "README.md", _readme_python()))
+    return [(path, node) for path, text in sources for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)]
+
+
+def _passes(call, callee, name, pos) -> bool:
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return called == callee and (any(k.arg == name for k in call.keywords)
+                                 or pos is not None and len(call.args) > pos)
+
+
+def test_every_optional_parameter_has_a_program_caller():
+    # a default that no program call overrides is a code path only tests take
+    calls = program_calls()
+    uncalled = []
+    for label, callee, name, pos, path, definition in optional_settings():
+        inside = range(definition.lineno, definition.end_lineno + 1)
+        if not any(_passes(call, callee, name, pos) for call_path, call in calls
+                   if not (call_path == path and call.lineno in inside)):
+            uncalled.append(label)
+    assert sorted(set(uncalled) - set(TEST_ONLY_SETTINGS)) == []
+    # the allowlist cannot go stale: each entry is still a setting with no caller
+    assert sorted(set(TEST_ONLY_SETTINGS) - set(uncalled)) == []
+
+
 def test_one_csv_writer():
     # every table goes through grid.write_csv, so there is one text format
     users = [p.name for p in sorted(SRC.glob("*.py")) if "savetxt" in p.read_text()]

@@ -187,7 +187,7 @@ class TestPropagate:
         # stepped propagation under beta_z reproduces the closed-form
         # azimuth change -[phi_N(end) - phi_N(start)] of the exact z rotation
         spec = deph_spec(0.5, omega0_hz=0.3, teeth=3, seed=5)
-        psi = draw_phases(spec, 0).psi
+        psi = draw_phases(spec, 0)
         t0, tau, m = 0.0, 0.3, 4000
         dt = tau / m
         mids = t0 + dt * (np.arange(m) + 0.5)
@@ -415,7 +415,7 @@ class TestAnalysisPhase:
         for it, tau in enumerate(taus):
             p = np.empty((n, 2))
             for row in range(n):
-                psi = draw_phases(spec, it * n + row).psi
+                psi = draw_phases(spec, it * n + row)
                 state = loop_propagate(ket0(), pulse(
                     detuning_waveform_at(spec, psi, mids), 0.0), dt)
                 ends = phase_waveform_at(spec, psi, np.array([t_pulse, t_pulse + tau]))
@@ -574,7 +574,7 @@ class TestRabi:
         wj = spec.omega0 * np.arange(1, spec.teeth + 1)
         p1 = np.zeros(len(rec.sweep))
         for i in range(n):
-            psi = draw_phases(spec, i).psi
+            psi = draw_phases(spec, i)
             for k, t in enumerate(rec.sweep):
                 wiggle = np.sum(F / wj * (np.sin(wj * t + psi) - np.sin(psi)))
                 p1[k] += math.sin(0.5 * omega * (t + spec.alpha * wiggle)) ** 2 / n

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bathforge import (ControlProgram, IQWaveform, NoiseSpec, Quadrature, Segment,
                        TimeGrid, ValidationError, compose, continuity_report, quantize,
@@ -29,7 +31,7 @@ class TestCompose:
     def test_pi_pulse_no_noise(self):
         omega = TWO_PI * 1e4
         prog = ControlProgram((Segment(duration=math.pi / omega, omega_c=omega),))
-        grid = TimeGrid(0.0, prog.duration / 64, 64)
+        grid = TimeGrid(prog.duration / 64, 64)
         om, phi = compose(prog, grid)
         assert np.all(om == omega)
         assert np.all(phi == 0.0)
@@ -38,7 +40,7 @@ class TestCompose:
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.2, omega0=50.0,
                          teeth=4, p=0, seed=3)
         prog = ControlProgram((Segment(duration=0.5),))
-        grid = TimeGrid(0.0, 0.5 / 256, 256)
+        grid = TimeGrid(0.5 / 256, 256)
         real = realize(spec, grid, 0)
         om, phi = compose(prog, grid, real)
         assert np.all(om == 0.0)
@@ -49,14 +51,14 @@ class TestCompose:
         prog = ControlProgram((Segment(duration=0.5, omega_c=10.0),
                                Segment(duration=0.5, omega_c=10.0, detuning=detuning)))
         with pytest.raises(ValidationError, match="detuning"):
-            compose(prog, TimeGrid(0.0, 1.0 / 64, 64))
+            compose(prog, TimeGrid(1.0 / 64, 64))
 
     def test_multiplicative_amplitude(self):
         spec = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.02, omega0=50.0,
                          teeth=4, p=0, seed=3)
         omega = TWO_PI * 500.0
         prog = ControlProgram((Segment(duration=0.5, omega_c=omega),))
-        grid = TimeGrid(0.0, 0.5 / 256, 256)
+        grid = TimeGrid(0.5 / 256, 256)
         real = realize(spec, grid, 0)
         om, _ = compose(prog, grid, real)
         assert np.allclose(om / omega - 1.0, real.beta, rtol=0, atol=1e-15)
@@ -66,7 +68,7 @@ class TestCompose:
                          teeth=4, p=0)
         prog = ControlProgram((Segment(duration=0.1, omega_c=1.0, phi_c=0.3),
                                Segment(duration=0.2, omega_c=0.5, phi_c=-0.1)))
-        grid = TimeGrid(0.0, 0.3 / 300, 300)
+        grid = TimeGrid(0.3 / 300, 300)
         real = realize(spec, grid, 0)
         om_ref, phi_ref = compose(prog, grid)
         om, phi = compose(prog, grid, real)
@@ -76,7 +78,7 @@ class TestCompose:
     def test_segment_boundaries(self):
         prog = ControlProgram((Segment(duration=0.1, omega_c=1.0),
                                Segment(duration=0.1, omega_c=2.0)))
-        grid = TimeGrid(0.0, 0.2 / 20, 20)
+        grid = TimeGrid(0.2 / 20, 20)
         om, _ = compose(prog, grid)
         assert np.all(om[:10] == 1.0) and np.all(om[10:] == 2.0)
 
@@ -84,17 +86,17 @@ class TestCompose:
         spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=0.1, omega0=50.0,
                          teeth=4, p=0)
         prog = ControlProgram((Segment(duration=0.5),))
-        grid = TimeGrid(0.0, 0.5 / 256, 256)
-        other = TimeGrid(0.0, 0.5 / 128, 128)
+        grid = TimeGrid(0.5 / 256, 256)
+        other = TimeGrid(0.5 / 128, 128)
         with pytest.raises(ValidationError):
             compose(prog, grid, realize(spec, other, 0))
 
     def test_grid_past_program_end_rejected(self):
-        # a grid starting late must still end inside the program
+        # the grid must end inside the program
         prog = ControlProgram((Segment(duration=0.5, omega_c=1.0),))
         with pytest.raises(ValidationError, match="end"):
-            compose(prog, TimeGrid(0.4, 0.01, 50))
-        om, _ = compose(prog, TimeGrid(0.4, 0.01, 10))
+            compose(prog, TimeGrid(0.01, 51))
+        om, _ = compose(prog, TimeGrid(0.01, 50))
         assert np.all(om == 1.0)
 
 
@@ -136,28 +138,30 @@ class TestIQ:
 
 class TestQuantize:
     def test_half_scale_code(self):
-        w = to_iq(np.array([0.5]), np.array([0.0]), 1.0)
-        q = quantize(w, bits=16, full_scale=1.0).quantized
-        assert q.codes_i[0] == 16384
-        assert abs(q.codes_i[0] * (q.full_scale / 2**(q.bits - 1)) - 0.5) < 2.0**-16
+        # a peak of 1 - 2**-15 sets the full scale to exactly 1
+        w = to_iq(np.array([1.0 - 2.0**-15, 0.5]), np.array([0.0, 0.0]), 1.0)
+        q = quantize(w, bits=16).quantized
+        assert q.full_scale == 1.0
+        assert q.codes_i[1] == 16384
+        assert abs(q.codes_i[1] * (q.full_scale / 2**(q.bits - 1)) - 0.5) < 2.0**-16
 
     def test_zero_waveform(self):
         w = to_iq(np.zeros(8), np.zeros(8), 1.0)
-        q = quantize(w, bits=16, full_scale=1.0).quantized
+        q = quantize(w, bits=16).quantized
         assert np.all(q.codes_i == 0) and np.all(q.codes_q == 0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         w = to_iq(rng.uniform(0, 0.9, 64), rng.uniform(0, TWO_PI, 64), 1.0)
-        q1 = quantize(w, bits=16, full_scale=1.0)
-        q2 = quantize(q1, bits=16, full_scale=1.0)
+        q1 = quantize(w, bits=16)
+        q2 = quantize(q1, bits=16)
         assert np.array_equal(q1.quantized.codes_i, q2.quantized.codes_i)
         assert np.array_equal(q1.quantized.codes_q, q2.quantized.codes_q)
 
     def test_error_bounded_by_half_lsb(self):
         rng = np.random.default_rng(3)
         w = to_iq(rng.uniform(0, 0.99, 512), rng.uniform(0, TWO_PI, 512), 1.0)
-        wq = quantize(w, bits=16, full_scale=1.0)
+        wq = quantize(w, bits=16)
         q = wq.quantized
         step = q.full_scale / 2**(q.bits - 1)
         assert np.max(np.abs(w.i - q.codes_i * step)) <= step / 2.0
@@ -165,28 +169,51 @@ class TestQuantize:
         assert q.snr_db > 60.0
 
     def test_overrange_rejected(self):
-        w = to_iq(np.array([1.0]), np.array([0.0]), 1.0)
-        with pytest.raises(ValidationError):
-            quantize(w, bits=16, full_scale=1.0)
+        # the step of the smallest subnormal peak underflows to 0
+        w = to_iq(np.array([5e-324]), np.array([0.0]), 1.0)
+        with pytest.raises(ValidationError, match="refusing to clip"):
+            quantize(w, bits=16)
 
-    @pytest.mark.parametrize("sample,full_scale", [(math.nan, 1.0), (-math.inf, 1.0),
-                                                   (0.5, math.nan), (0.5, math.inf)])
-    def test_nonfinite_rejected(self, sample, full_scale):
+    def test_huge_peak_fits_top_code(self):
+        # peak * 2**15 overflows; the step peak / (2**15 - 1) does not
+        w = to_iq(np.array([1e305, -0.5e305]), np.zeros(2), 1.0)
+        q = quantize(w, bits=16).quantized
+        assert math.isfinite(q.full_scale)
+        assert q.codes_i.tolist() == [2**15 - 1, -16384]
+
+    @pytest.mark.parametrize("peak", [1e-150, 1e-160, 1e-200])
+    def test_snr_independent_of_scale(self, peak):
+        rng = np.random.default_rng(5)
+        w = to_iq(rng.uniform(0, 0.9, 256), rng.uniform(0, TWO_PI, 256), 1.0)
+        small = IQWaveform(sample_rate=1.0, i=w.i * peak, q=w.q * peak)
+        # an underflowed error sum read inf below a peak of about 1e-155
+        assert abs(quantize(small).quantized.snr_db - quantize(w).quantized.snr_db) <= 1e-9
+
+    @pytest.mark.parametrize("sample", [math.nan, -math.inf])
+    def test_nonfinite_rejected(self, sample):
         w = IQWaveform(sample_rate=1.0, i=np.array([sample, 0.5]), q=np.zeros(2))
         with pytest.raises(ValidationError, match="finite"):
-            quantize(w, bits=16, full_scale=full_scale)
+            quantize(w, bits=16)
 
     @pytest.mark.parametrize("bits", [1, 17, 32])
     def test_bits_outside_2_to_16_rejected(self, bits):
         w = to_iq(np.array([0.5]), np.zeros(1), 1.0)
         with pytest.raises(ValidationError, match="bits"):
-            quantize(w, bits=bits, full_scale=1.0)
+            quantize(w, bits=bits)
 
     @pytest.mark.parametrize("bits", [8.5, 16.0, True])
     def test_non_integer_bits_rejected(self, bits):
         w = to_iq(np.array([0.5]), np.zeros(1), 1.0)
         with pytest.raises(ValidationError, match="bits"):
-            quantize(w, bits=bits, full_scale=1.0)
+            quantize(w, bits=bits)
+
+    @given(peak=st.floats(1e-300, 1e300), bits=st.integers(2, 16))
+    def test_full_scale_is_peak_times_levels_over_top(self, peak, bits):
+        # the value the binary sidecar records, bit for bit
+        levels = 2 ** (bits - 1)
+        q = quantize(to_iq(np.array([peak, -0.3 * peak]), np.zeros(2), 1.0), bits).quantized
+        assert q.full_scale == peak * levels / (levels - 1)
+        assert q.codes_i[0] == levels - 1
 
     def test_default_full_scale_fits_peak(self):
         w = to_iq(np.array([1.0, 0.25]), np.zeros(2), 1.0)
@@ -252,7 +279,7 @@ class TestExport:
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         w = quantize(to_iq(rng.uniform(0, 0.9, 128), rng.uniform(0, TWO_PI, 128), 50.0),
-                     bits=16, full_scale=1.0)
+                     bits=16)
         path = tmp_path / "wave.iq"
         export_binary(w, path, spec_hash="abc123")
         # interleaved little-endian int16 I/Q codes
