@@ -193,6 +193,16 @@ def _count(opts: Options, key: str, low: int = 1) -> int:
     return opts[key]
 
 
+def _tau_range(opts: Options) -> tuple:
+    """``--tau-min`` and ``--tau-max`` of an increasing sweep; an error names the flags."""
+    tau_min, tau_max = opts["tau_min"], opts["tau_max"]
+    if not tau_max > 0:
+        raise ValidationError(f"--tau-max must be > 0, got {tau_max!r}")
+    if not tau_min < tau_max:
+        raise ValidationError(f"--tau-min must be < --tau-max ({tau_max!r}), got {tau_min!r}")
+    return tau_min, tau_max
+
+
 def cmd_synth(args, opts: Options, spec: NoiseSpec) -> list:
     grid = _record_grid(opts, spec)
     outputs = []
@@ -294,16 +304,15 @@ def cmd_verify_psd(args, opts: Options, spec: NoiseSpec) -> list:
 
 def cmd_simulate(args, opts: Options, spec: NoiseSpec) -> list:
     n, n_realizations = _count(opts, "points"), _count(opts, "realizations")
-    tau_max = opts["tau_max"]
+    tau_min, tau_max = _tau_range(opts)
     if args.variant == "ramsey":
-        tau_min = opts["tau_min"] or tau_max / n
-        taus = np.linspace(tau_min, tau_max, n)
+        taus = np.linspace(tau_min or tau_max / n, tau_max, n)
         record = ramsey(spec, fringe_detuning=TWO_PI * opts["detuning_hz"],
                         pulse_rabi=TWO_PI * opts["pulse_rabi_hz"], taus=taus,
                         n_realizations=n_realizations,
                         noise_during_pulses=opts["pulse_noise"])
     else:
-        durations = np.linspace(opts["tau_min"], tau_max, n)
+        durations = np.linspace(tau_min, tau_max, n)
         record = rabi(spec, drive_rabi=TWO_PI * opts["drive_rabi_hz"],
                       durations=durations, n_realizations=n_realizations)
     opts.values["out"] = opts.values["out"] or f"simulate_{args.variant}"
@@ -314,7 +323,7 @@ def cmd_simulate(args, opts: Options, spec: NoiseSpec) -> list:
 
 
 def cmd_predict(args, opts: Options, spec: NoiseSpec) -> list:
-    taus = np.linspace(opts["tau_min"], opts["tau_max"], _count(opts, "points"))
+    taus = np.linspace(*_tau_range(opts), _count(opts, "points"))
     curve = coherence_curve(spec, taus)
     path = f"{opts['out']}.csv"
     write_csv(path, [curve.tau, curve.chi, fidelity_from_chi(curve.chi)],

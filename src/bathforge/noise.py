@@ -19,26 +19,25 @@ weight ``(pi/2) a_j**2``.  For ``S(j*omega0) ~ (j*omega0)**p`` the envelopes
 are ``F(j) = j**(p/2 - 1)`` (dephasing) and ``F(j) = j**(p/2)`` (amplitude),
 so ``a_j ~ j**(p/2)`` in both quadratures.
 
-Every waveform is the real part ``Re sum_j c_j e^{i j omega0 t}`` of
-coefficient rows ``c_j = b_j z_j``: ``b_j = a_j`` for beta, and
-``b_j = -i alpha F(j)`` for phi_N, whose sine sum is the real part of a row
-times ``-i`` (:func:`realize` and :func:`phase_waveform_at` share that row).
+Every waveform is ``Re sum_j b_j z_j e^{i j omega0 t}``, an amplitude row
+``b_j`` times the phasors: ``b_j = a_j`` for beta, and ``b_j = -i alpha F(j)``
+for phi_N, whose sine sum is the real part of a row times ``-i``.
 The times are block starts plus in-block offsets, ``s_q + r``, start-major.
 Every tooth is a harmonic of ``omega0``, so a table ``e^{i j omega0 t}`` is
 built from one transform ``e^{i omega0 t}`` per time by complex doubling, and
 ``e^{i j omega0 (s_q + r)} = e^{i j omega0 s_q} e^{i j omega0 r}``: each run
 of ``_TIME_BLOCK`` starts is folded into the rows, and each block of
-``_TIME_BLOCK`` offsets takes one product with its table.
-
-The ``*_waveform_at`` evaluators pass arbitrary times as the offsets and no
-starts, so their rows are the coefficients themselves.  They take the phases
-``psi`` or their phasors; a caller that evaluates one draw block more than
-once passes ``phasors(psi)`` and pays for cos and sin of the block once.
+``_TIME_BLOCK`` offsets takes one real product with its table, real and
+imaginary parts interleaved along j.  The ``*_waveform_at`` evaluators pass
+arbitrary times as the offsets and no starts: their rows are the phasors,
+given as ``psi`` or as ``phasors(psi)`` by a caller that evaluates one draw
+block twice, and the amplitudes scale each (<= _TIME_BLOCK, J) table.
 :func:`realize` samples a uniform grid by block shift: offsets ``r*dt`` for
-``r < B = min(_TIME_BLOCK, n)`` and ``Q = ceil(n/B)`` starts ``q*B*dt``.
-A record of up to ``_TIME_BLOCK**2`` samples with k rows is then one
-(k*Q, J) @ (J, B) product, and J teeth on n samples transform ``J + B + Q``
-values; beta and phi_N of a dephasing spec are two rows of that product.
+``r < B = min(_TIME_BLOCK, n)`` and ``Q = ceil(n/B)`` starts ``q*B*dt``, with
+the amplitudes on its k start-side rows.  A record of up to
+``_TIME_BLOCK**2`` samples is then one (k*Q, 2J) @ (2J, B) product, and J
+teeth on n samples transform ``J + B + Q`` values; beta and phi_N of a
+dephasing spec are two rows of that product.
 
 Phase stream.  Row ``(seed, i)`` of every draw is numpy's stable stream
 (NEP 19): ``default_rng(SeedSequence(seed, spawn_key=(i,))).uniform(0, 2*pi, J)``,
@@ -265,62 +264,68 @@ def _spawn_states(seed: int, indices: list) -> np.ndarray:
 
 
 def phasors(psi: np.ndarray) -> np.ndarray:
-    """Complex phasors ``z = e^{i psi}`` of a (J,) draw or an (n, J) block."""
+    """Complex phasors ``z = e^{i psi}`` of a (J,) draw or an (n, J) block, computed
+    in place from ``t = tan(psi/2)`` as ``2/(1+t^2) - 1 + i t*2/(1+t^2)``: one tangent
+    per phase and no temporaries (on AVX-512 hosts numpy's float64 ``tan`` is a
+    SIMD loop, ``cos`` and ``sin`` scalar ones)."""
     psi = np.asarray(psi, dtype=float)
     z = np.empty(psi.shape, dtype=complex)
-    np.cos(psi, out=z.real)
-    np.sin(psi, out=z.imag)
+    re, im = z.real, z.imag
+    np.tan(np.multiply(psi, 0.5, out=im), out=im)
+    np.divide(2.0, np.add(np.square(im, out=re), 1.0, out=re), out=re)
+    im *= re
+    re -= 1.0
     return z
 
 
 def _harmonics(omega0: float, times: np.ndarray, teeth: int) -> np.ndarray:
-    """Complex (J, m) table whose row j-1 is ``e^{i j omega0 t}``.
+    """Complex (m, J) table whose column j-1 is ``e^{i j omega0 t}``.
 
-    Only row 0 takes a transform.  Doubling fills rows k..2k-1 as rows
-    0..k-1 times row k-1, so each entry is a product of at most
+    Only column 0 takes a transform.  Doubling fills columns k..2k-1 as
+    columns 0..k-1 times column k-1, so each entry is a product of at most
     ceil(log2 J) rounded factors instead of the J of a running product.
     """
-    h = np.empty((teeth, times.size), dtype=complex)
-    h[0] = phasors(omega0 * times)
+    h = np.empty((times.size, teeth), dtype=complex)
+    h[:, 0] = phasors(omega0 * times)
     k = 1
     while k < teeth:
         n = min(k, teeth - k)
-        np.multiply(h[:n], h[k - 1], out=h[k:k + n])
+        np.multiply(h[:, :n], h[:, k - 1:k], out=h[:, k:k + n])
         k += n
     return h
 
 
-def _comb_eval(times: np.ndarray, omega0: float, c: np.ndarray,
+def _comb_eval(times: np.ndarray, omega0: float, amps: np.ndarray, psi: np.ndarray,
                starts: Optional[np.ndarray] = None) -> np.ndarray:
-    """``Re sum_j c[..., j] e^{i j omega0 t}`` at ``t = starts[q] + times[r]``, start-major.
+    """``Re sum_j amps[..., j] z[..., j] e^{i j omega0 t}`` at ``t = starts[q] + times[r]``,
+    start-major, for phases ``psi`` or their phasors ``z``, (J,) or (..., J).
 
-    ``c`` holds coefficient rows, (J,) or (..., J).  Without ``starts`` the
-    times are ``times`` and the rows are ``c``; with them, each run of
-    ``_TIME_BLOCK`` starts is folded into the rows (see the module docstring).
+    Without ``starts`` the rows are ``z`` and the (J,) ``amps`` scale each
+    table; with them, ``amps`` (J,) or (k, J) scale ``z``, and each run of
+    ``_TIME_BLOCK`` starts is folded into those rows (see the module docstring).
     """
+    z = np.ascontiguousarray(psi, dtype=complex) if np.iscomplexobj(psi) else phasors(psi)
     times = np.asarray(times, dtype=float)
-    teeth = c.shape[-1]
+    teeth = z.shape[-1]
     n_starts = 1 if starts is None else starts.size
-    out = np.empty(c.shape[:-1] + (n_starts * times.size,))
+    left = z[..., None, :] if starts is None else (amps * z)[..., None, :]
+    out = np.empty(left.shape[:-2] + (n_starts * times.size,))
     # written through a start-major view; the caller gets the array that owns
     # the data, so numpy can reuse it for temporaries such as ``1.0 + out``
-    by_start = out.reshape(c.shape[:-1] + (n_starts, times.size))
+    by_start = out.reshape(left.shape[:-2] + (n_starts, times.size))
     for first_t in range(0, times.size, _TIME_BLOCK):
         block = slice(first_t, first_t + _TIME_BLOCK)
         table = _harmonics(omega0, times[block], teeth)
+        if starts is None:
+            table *= amps
+        # Re(row . table) = (Re row, Im row) . (Re table, -Im table): half the work
+        table = np.conjugate(table, out=table).view(float).T
         for first in range(0, n_starts, _TIME_BLOCK):
             run = slice(first, first + _TIME_BLOCK)
-            rows = c[..., None, :] if starts is None else (
-                c[..., None, :] * _harmonics(omega0, starts[run], teeth).T)
-            # one 2-d product over every coefficient row is faster than a stacked one
-            by_start[..., run, block] = (rows.reshape(-1, teeth) @ table).real.reshape(
-                rows.shape[:-1] + (-1,))
+            rows = left if starts is None else left * _harmonics(omega0, starts[run], teeth)
+            by_start[..., run, block] = (rows.view(float).reshape(-1, 2 * teeth) @ table
+                                         ).reshape(rows.shape[:-1] + (-1,))
     return out
-
-
-def _coefficients(amps: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Coefficient rows ``amps * e^{i psi}`` of a draw or block, from phases or scaled phasors."""
-    return amps * (psi if np.iscomplexobj(psi) else phasors(psi))
 
 
 def _phase_amplitudes(spec: NoiseSpec) -> np.ndarray:
@@ -332,21 +337,21 @@ def phase_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np
     """phi_N evaluated at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("phase waveform is defined for dephasing specs only")
-    return _comb_eval(times, spec.omega0, _coefficients(_phase_amplitudes(spec), psi))
+    return _comb_eval(times, spec.omega0, _phase_amplitudes(spec), psi)
 
 
 def detuning_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """beta_z = d(phi_N)/dt in rad/s at arbitrary times (no Nyquist check); batch-aware."""
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("detuning waveform is defined for dephasing specs only")
-    return _comb_eval(times, spec.omega0, _coefficients(spec.tooth_amplitudes(), psi))
+    return _comb_eval(times, spec.omega0, spec.tooth_amplitudes(), psi)
 
 
 def amplitude_waveform_at(spec: NoiseSpec, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
     """beta_Omega at arbitrary times (no Nyquist check); batch-aware; psi may be scaled phasors."""
     if spec.quadrature is not Quadrature.AMPLITUDE:
         raise ValidationError("amplitude waveform is defined for amplitude specs only")
-    return _comb_eval(times, spec.omega0, _coefficients(_drive_amplitudes(spec), psi))
+    return _comb_eval(times, spec.omega0, _drive_amplitudes(spec), psi)
 
 
 def _drive_amplitudes(spec: NoiseSpec) -> np.ndarray:
@@ -384,8 +389,7 @@ def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRea
         amps = _drive_amplitudes(spec)
     block = min(_TIME_BLOCK, grid.n)
     starts = grid.dt * np.arange(0, grid.n, block)
-    waves = _comb_eval(grid.dt * np.arange(block), spec.omega0,
-                       _coefficients(amps, psi), starts)[..., :grid.n]
+    waves = _comb_eval(grid.dt * np.arange(block), spec.omega0, amps, psi, starts)[..., :grid.n]
     if spec.quadrature is Quadrature.DEPHASING:
         return NoiseRealization(spec, realization_index, grid, beta=waves[0], phi_n=waves[1])
     return NoiseRealization(spec, realization_index, grid, beta=waves)

@@ -219,20 +219,15 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
                                rabi=pulse_rabi, phase=0.0)
     first = second = pulse
     n = n_realizations
-    mean = np.empty(len(taus))
-    se = np.empty(len(taus))
-    vis = np.empty(len(taus))
-    vis_se = np.empty(len(taus))
+    mean, se, vis, vis_se = np.empty((4, len(taus)))
     # at alpha = 0 every realization is the same trajectory
     frozen = spec.alpha == 0
-    if frozen:
-        z = phasors(draw_phase_matrix(spec, [0]))
     for it, tau in enumerate(taus):
-        if not frozen:
-            # the two comb evaluations below share this block's phase trig;
-            # the previous block is released before this one is drawn
+        if it == 0 or not frozen:
+            # the two comb evaluations below share this block's phasors; the
+            # previous block is released before this one is drawn
             z = None
-            z = phasors(draw_phase_matrix(spec, range(it * n, (it + 1) * n)))
+            z = phasors(draw_phase_matrix(spec, [0] if frozen else range(it * n, (it + 1) * n)))
         if noise_during_pulses:
             # one comb call samples the noise of both pulse windows
             beta = detuning_waveform_at(spec, z,

@@ -153,13 +153,15 @@ def quantize(w: IQWaveform, bits: int = 16) -> IQWaveform:
     # peak/top is exactly full_scale/levels, and cannot overflow for a huge peak
     step = peak / top if peak > 0 else 1.0 / levels
     full_scale = step * levels
+    overrange = (f"samples exceed the representable range +-{top * step:g} "
+                 f"(full scale {full_scale:g}, {bits} bits); refusing to clip")
+    if step == 0:  # a subnormal peak's step underflows, and no nonzero sample fits
+        raise ValidationError(overrange)
     # in units of the step, so the sums of squares below cannot underflow
     i, q = w.i / step, w.q / step
     ci, cq = np.round(i), np.round(q)
     if np.any(np.abs(ci) > top) or np.any(np.abs(cq) > top):
-        raise ValidationError(
-            f"samples exceed the representable range +-{top * step:g} "
-            f"(full scale {full_scale:g}, {bits} bits); refusing to clip")
+        raise ValidationError(overrange)
     err = np.sum((i - ci) ** 2) + np.sum((q - cq) ** 2)
     sig = np.sum(i**2) + np.sum(q**2)
     snr_db = math.inf if err == 0 else 10.0 * math.log10(sig / err)

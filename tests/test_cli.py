@@ -228,10 +228,20 @@ class TestCliErrors:
          "--samples-per-period must be >= 2, got -3"),
         (["export", "--program", "prog.txt", "--rate", "8000", "--realization-index", "-1"],
          "--realization-index must be >= 0, got -1"),
+        (["predict", "chi", "--tau-min", "0.05", "--tau-max", "0.01"],
+         "--tau-min must be < --tau-max (0.01), got 0.05"),
+        (["simulate", "ramsey", "--tau-min", "0.05", "--tau-max", "0.01"],
+         "--tau-min must be < --tau-max (0.01), got 0.05"),
+        (["simulate", "ramsey", "--tau-max", "0"], "--tau-max must be > 0, got 0.0"),
+        (["simulate", "rabi", "--quadrature", "amplitude", "--alpha", "0.01",
+          "--tau-min", "0.004", "--tau-max", "0.004"],
+         "--tau-min must be < --tau-max (0.004), got 0.004"),
     ], ids=["scan_alpha_points", "scan_alpha_realizations", "simulate_ramsey_realizations",
             "simulate_rabi_realizations", "verify_psd_realizations", "synth_periods",
             "synth_samples_per_period", "verify_psd_samples_per_period",
-            "export_realization_index"])
+            "export_realization_index", "predict_descending_taus",
+            "simulate_ramsey_descending_taus", "simulate_ramsey_tau_max_0",
+            "simulate_rabi_equal_taus"])
     def test_range_error_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, message):
         # checked in the CLI before any draw, simulation or scan starts
         monkeypatch.chdir(tmp_path)

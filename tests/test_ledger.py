@@ -45,39 +45,39 @@ CASES = {
 
 DIGESTS = {
     "export_both": {
-        "wave.csv": "da94db403fa71ab3fe717eb818694b78198fa68f00a13db450edfcbb661ba0fe",
+        "wave.csv": "b637ed667550335efe17d3385b46f00e871f52536c1844fbedfea3bd6b03ec1e",
         "wave.hdr": "33fdab6f52d5667d93afffffb6be914cf6dd0f1462029d7f375e02d10d9fb240",
         "wave.iq": "df666957ac62f975f679d6384129b41de392fbf9984ce3e645122072497d72f2",
-        "wave.manifest": "0df31a05ebebb77d7cbdeaf9e04b1f0325cbb2536cefbe5e80e049893c976de2",
+        "wave.manifest": "8ce5c771bf92ae6c7043bfb2bc0f36d709285ab533fc4aba35609e5953bbeda4",
     },
     "predict_chi": {
         "chi.csv": "7a9e4c0b07619d25ecf608e7df71983a330594d43ad9e31978fc75d73ccf4e6e",
         "chi.manifest": "c0acb4772b99269a46fbcce0aca97ff4618b54756e5a8d1f2aff95c4b11085d0",
     },
     "scan-alpha": {
-        "scan.csv": "5f735eea6e750ed89ba4a2bbc814ea35a660ad726fc1a006512fc886c9b29acb",
-        "scan.manifest": "cf260e0ceafe021a584caf3e79bd28e9e1129b7139dd83ba2035fc0c4d19c25c",
+        "scan.csv": "124bea8177b93a1149f2f24baaac21c5a25d1f15e313c21a7e5445de4394580d",
+        "scan.manifest": "62b4048b4d18e0a01e894286a430e632d24f068751c8b967e50ec6b62a783654",
     },
     "simulate_rabi": {
-        "rabi.csv": "2c7f34a61df232980ad74846f51b8492448fbea1e6b2f04aaa0d1a6f739357ac",
-        "rabi.manifest": "a5467e85d07936d24788c02291b64147de3a96b3f5c95a5e066f0bd8a313e181",
+        "rabi.csv": "5a729d9a58b3dce76c8c3909f122cee5d00da69b72cdc3baadf53fdadc317418",
+        "rabi.manifest": "6632f4bcf965392c976902ac31f73897e6197f8ec8e75977910cc12632cc585e",
     },
     "simulate_ramsey": {
-        "ramsey.csv": "fb69d2258eebbe8a05429794be2432b9ddd0c3a54be02e2641f7fdf3f4493aab",
-        "ramsey.manifest": "ba3e0cb1b8037d9869f55282bf77c3b77eabe584fa2d74087314863fd4642de1",
+        "ramsey.csv": "b6e74ca1c759f8523215d34d0b7c6e2effa2d0cc3b62df0921385717ec03eeca",
+        "ramsey.manifest": "af4f19a05931dd22a985ca8899a8d0a0b0fcd3c36f7c82f4d48be932997f7843",
     },
     "synth": {
-        "noise.manifest": "fadc193ca853dafe2c02a59e4279bb178dcdbc7a447f8259463bb8de708dad61",
-        "noise_0000.csv": "6d5ef9f0e32c1dc8882f79bc7f54f7e21c846738afd886d1546a5493f75b6407",
-        "noise_0001.csv": "0b72ed14b86fbfd7922886510a0c0aa2bbf4a2527de47272fe2561b61a2de01f",
+        "noise.manifest": "17f4def35b28397594bffe963f8a4b9a202a57538f518b7c1d3d588aaa8f82a3",
+        "noise_0000.csv": "63c80e40bb8aeea9bc63c4b44791e4e6652c5e1f303b4403abb4ec9fd5877a7d",
+        "noise_0001.csv": "36964f1ebbc543100bf7ef6cc33643ea9440159390c0d2b56fdec548e16ec124",
     },
     "synth_envelope": {
-        "env.manifest": "11dd90f721109ddcd782d5e44573ebf5e2f4ed22f7d3d70557b4da8f26bdb5e4",
-        "env_0000.csv": "856cff7d63a544c6e3c0426195265e17527ec9f6953035ed3bcd0f44bee874d5",
+        "env.manifest": "3b1dcc67b50f0c4c616746ce08d37433b99b1f835076cddc493f18b11e6fd0fc",
+        "env_0000.csv": "63636decedf49607d09689dc4c431b2414e8c8a6283ab95dbb6b6f3b8154b8b4",
     },
     "verify-psd": {
-        "psd.csv": "23802c6ca57710c7dd83eaf7d1d77db93d2bed0593599518cce8a3ff7ea0eed3",
-        "psd.manifest": "a89bdb0abfcb9b9ac8770d8842d90608dc3af4afdbee01535bfa9e827867be80",
+        "psd.csv": "0e83d09e34e84141d8904f056e267cfb85c7b49174242291360c236c22b76dd4",
+        "psd.manifest": "98c9ffda1396928ae950bac1dea140110892b4f35ebe736bffe3635d69469829",
     },
 }
 

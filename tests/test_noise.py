@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,13 +412,40 @@ def _draws(spec, rows):
 
 
 class TestPhasors:
-    @pytest.mark.parametrize("rows", [None, 5])
-    def test_phasors_are_cos_and_sin(self, rows):
-        psi = _draws(white_dephasing(teeth=40, seed=9), rows)
+    """``phasors`` against cos and sin in long double, on the phases a draw can
+    take (the 53-bit lattice ``k * 2pi * 2**-53``) and on harmonic arguments
+    ``j omega0 t`` up to 1e4 rad, each as hypothesis values plus a bulk block."""
+
+    TOL = 1e-15  # each component, and |z| - 1
+
+    def check(self, psi):
         z = phasors(psi)
         assert z.shape == psi.shape and z.dtype == complex
-        assert np.array_equal(z.real, np.cos(psi))
-        assert np.array_equal(z.imag, np.sin(psi))
+        ld = psi.astype(np.longdouble)
+        assert float(np.max(np.abs(z.real - np.cos(ld)))) <= self.TOL
+        assert float(np.max(np.abs(z.imag - np.sin(ld)))) <= self.TOL
+        modulus = np.hypot(z.real.astype(np.longdouble), z.imag.astype(np.longdouble))
+        assert float(np.max(np.abs(modulus - 1))) <= self.TOL
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64),
+           seed=st.integers(0, 2**32 - 1))
+    def test_draw_lattice_against_long_double(self, k, seed):
+        unit = TWO_PI * 2.0**-53
+        self.check(np.array(k, dtype=float) * unit)
+        bulk = np.random.default_rng(seed).integers(0, 2**53, (8, 512))
+        self.check(bulk.astype(float) * unit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(args=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=64),
+           seed=st.integers(0, 2**32 - 1))
+    def test_harmonic_arguments_against_long_double(self, args, seed):
+        self.check(np.array(args))
+        self.check(np.random.default_rng(seed).uniform(-1e4, 1e4, (8, 512)))
+
+    def test_zero_is_exactly_one(self):
+        assert phasors(np.zeros((2, 3))).tolist() == [[1.0 + 0.0j] * 3] * 2
+        assert phasors(0.0) == 1.0
 
     @pytest.mark.parametrize("rows", [None, 5])
     def test_evaluators_bit_identical_on_phasors(self, rows):
@@ -472,6 +500,45 @@ class TestCombAgainstLongDouble:
                 assert out.shape == expect.shape
                 assert float(np.max(np.abs(out - expect))) <= tol, (evaluate.__name__, rows)
 
+    def test_phasor_blocks_past_one_time_block(self):
+        # a (3, J) phasor block, as ramsey passes it, at times spanning three tables
+        omega0, teeth = TWO_PI * 50.0, 40
+        m = 2 * noise._TIME_BLOCK + 3
+        times = np.random.default_rng(m).uniform(0.0, 8.0 * math.pi / omega0, m)
+        deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1.3, omega0=omega0,
+                         teeth=teeth, p=-1.0, seed=4)
+        amp = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.5 / teeth,
+                        omega0=omega0, teeth=teeth, p=-1.0, seed=4)
+        cases = ((phase_waveform_at, deph, deph.alpha * deph.envelope_table(), np.sin),
+                 (detuning_waveform_at, deph, deph.tooth_amplitudes(), np.cos),
+                 (amplitude_waveform_at, amp, amp.tooth_amplitudes(), np.cos))
+        for evaluate, spec, amps, trig in cases:
+            psi = _draws(spec, 3)
+            out = evaluate(spec, phasors(psi), times)
+            ref = _longdouble_comb(omega0, amps, psi, times, trig)
+            assert out.shape == (3, m)
+            assert float(np.max(np.abs(out - ref))) <= 1e-12 * float(np.sum(np.abs(amps)))
+
+
+class TestEvaluatorMemory:
+    """An evaluator on a (500, 750) phasor block scales its (m, 750) tables by
+    the amplitudes and forms no (500, 750) coefficient block (6 MB)."""
+
+    @pytest.mark.parametrize("evaluate, m, limit", [(phase_waveform_at, 2, 1e6),
+                                                    (detuning_waveform_at, 84, 4e6)])
+    def test_peak_below_one_block(self, evaluate, m, limit):
+        spec = white_dephasing(omega0=TWO_PI * 50.0, teeth=750, seed=3)
+        z = phasors(draw_phase_matrix(spec, range(500)))
+        times = np.linspace(0.0, 1e-3, m)
+        tracemalloc.start()
+        try:
+            out = evaluate(spec, z, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (500, m)
+        assert peak < limit
+
 
 class TestCombLoopNest:
     """``_comb_eval`` with a time block of 3, so that starts and offsets both
@@ -497,8 +564,9 @@ class TestCombLoopNest:
         times = rng.uniform(0.0, period, m)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(noise, "_TIME_BLOCK", 3)
-            shifted = noise._comb_eval(times, self.OMEGA0, c, starts)
-            explicit = noise._comb_eval((starts[:, None] + times).ravel(), self.OMEGA0, c)
+            shifted = noise._comb_eval(times, self.OMEGA0, np.ones(teeth), c, starts)
+            explicit = noise._comb_eval((starts[:, None] + times).ravel(), self.OMEGA0,
+                                        np.ones(teeth), c)
         assert shifted.shape == explicit.shape == shape[:-1] + (n_starts * m,)
         ld = np.longdouble
         exact = (starts.astype(ld)[:, None] + times.astype(ld)).ravel()
