@@ -443,6 +443,10 @@ class TestPhasors:
         self.check(np.array(args))
         self.check(np.random.default_rng(seed).uniform(-1e4, 1e4, (8, 512)))
 
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_phasors_are_cos_and_sin(self, rows):
+        self.check(_draws(white_dephasing(teeth=40, seed=9), rows))
+
     def test_zero_is_exactly_one(self):
         assert phasors(np.zeros((2, 3))).tolist() == [[1.0 + 0.0j] * 3] * 2
         assert phasors(0.0) == 1.0
