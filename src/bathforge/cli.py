@@ -361,6 +361,13 @@ def _add_table_flags(p: argparse.ArgumentParser, table: dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command with its flags."""
+    return _parser(_COMMANDS)
+
+
+def _parser(flagged) -> argparse.ArgumentParser:
+    """The parser of every command, with flags only for the commands in ``flagged``:
+    a run parses one command, so the others' flags are never built."""
     parser = argparse.ArgumentParser(
         prog="bathforge",
         description="Engineered noise-bath synthesis, waveform export and qubit simulation")
@@ -372,6 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=handlers[name])
+        if name not in flagged:
+            continue
         if name == "simulate":
             p.add_argument("variant", metavar="experiment", choices=["ramsey", "rabi"],
                            help="ramsey | rabi")
@@ -380,12 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key-value run configuration (or a manifest)")
         p.add_argument("--spec", help="noise spec config file")
         _add_table_flags(p, {**_SPEC_ROWS, **options})
-        p.set_defaults(func=handlers[name])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option values, so its first positional names the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = _parser({command}).parse_args(argv)
     try:
         with removed_on_failure():
             opts = Options(args.command)

@@ -32,12 +32,30 @@ imaginary parts interleaved along j.  The ``*_waveform_at`` evaluators pass
 arbitrary times as the offsets and no starts: their rows are the phasors,
 given as ``psi`` or as ``phasors(psi)`` by a caller that evaluates one draw
 block twice, and the amplitudes scale each (<= _TIME_BLOCK, J) table.
-:func:`realize` samples a uniform grid by block shift: offsets ``r*dt`` for
-``r < B = min(_TIME_BLOCK, n)`` and ``Q = ceil(n/B)`` starts ``q*B*dt``, with
-the amplitudes on its k start-side rows.  A record of up to
-``_TIME_BLOCK**2`` samples is then one (k*Q, 2J) @ (2J, B) product, and J
-teeth on n samples transform ``J + B + Q`` values; beta and phi_N of a
-dephasing spec are two rows of that product.
+:func:`realize` samples a uniform grid one of two ways; beta and phi_N of a
+dephasing spec are two rows of one result either way.
+
+* Commensurate grid, ``N = round(T0/dt)`` samples per base period
+  ``T0 = 2*pi/omega0`` with ``2J + 1 <= N <= 4n``: every tooth is
+  ``e^{2 pi i j k/N}`` up to a drift, so one period is one inverse real FFT of
+  length N with ``X_j = (N/2) b_j z_j`` for ``1 <= j <= J``, wrapped to n
+  samples (random-phase spectral synthesis, Timmer & Koenig 1995, with the
+  comb's phases).  A float dt is never exactly T0/N: with the step
+  ``omega0*dt = 2*pi/N + s``, tooth j at sample k lags the wrapped period by
+  ``j*k*s``, at most the drift ``J*(n - 1)*|s|``, which is computed exactly in
+  rationals.  Up to ``_MAX_DRIFT`` rad the record is the wrapped period and
+  repeats bit for bit from period to period; up to ``_MAX_CORRECTED_DRIFT`` it
+  gains the first-order term ``s*k*D_k``, D the inverse FFT of ``i*j*X_j``.
+  A grid from :meth:`TimeGrid.periods_of`, or at a rate that is a whole
+  multiple of f0, is off by a few float roundings, a drift near
+  ``1e-16 * 2*pi*J*n/N``, so any such record under 10**9 samples takes this
+  path when ``2J + 1 <= N <= 4n``.  The upper bound keeps the transform's
+  arrays within a few records' memory.
+* Any other grid, by block shift: offsets ``r*dt`` for
+  ``r < B = min(_TIME_BLOCK, n)`` and ``Q = ceil(n/B)`` starts ``q*B*dt``, with
+  the amplitudes on its k start-side rows.  A record of up to
+  ``_TIME_BLOCK**2`` samples is then one (k*Q, 2J) @ (2J, B) product, and J
+  teeth on n samples transform ``J + B + Q`` values.
 
 Phase stream.  Row ``(seed, i)`` of every draw is numpy's stable stream
 (NEP 19): ``default_rng(SeedSequence(seed, spawn_key=(i,))).uniform(0, 2*pi, J)``,
@@ -80,6 +98,15 @@ _MASK128 = (1 << 128) - 1
 _UNIT_PHASE = 2.0 * math.pi * 2.0**-53
 # times per harmonic table in _comb_eval: (750, 256) complex is 3 MB
 _TIME_BLOCK = 256
+# 2*pi * 10**39 to the nearest integer (2*pi to 40 digits): an FFT grid's step is
+# within a few float roundings of 2*pi/N, so their difference is taken exactly
+_TWO_PI_E39 = 6283185307179586476925286766559005768394
+# Both drift bounds (rad) keep an FFT record within half of the 1e-12 * sum_j |b_j|
+# realize is held to, and leave the other half to the transforms' rounding.  A
+# wrapped period errs by at most its drift times sum_j |b_j|; with the first-order
+# term the remainder is at most drift**2 / 2 times sum_j |b_j|.
+_MAX_DRIFT = 5e-13
+_MAX_CORRECTED_DRIFT = 1e-6
 
 
 class Quadrature(enum.Enum):
@@ -212,8 +239,11 @@ def draw_phase_matrix(spec: NoiseSpec, indices: Sequence[int]) -> np.ndarray:
     every row; one PCG64 is then set to each row's state in turn.
     """
     indices = list(indices)
-    for i in indices:
-        require_int("realization_index", i, 0, _MAX_U64)
+    # plain ints in range need no per-index check; anything else gets one, for its message
+    if indices and not (set(map(type, indices)) == {int}
+                        and 0 <= min(indices) and max(indices) <= _MAX_U64):
+        for i in indices:
+            require_int("realization_index", i, 0, _MAX_U64)
     raw = np.empty((len(indices), spec.teeth), dtype=np.uint64)
     bitgen = np.random.PCG64(0)
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
@@ -375,21 +405,54 @@ def _require_nyquist(spec: NoiseSpec, dt: float) -> None:
             f"for the highest comb tooth")
 
 
+def _fft_period(spec: NoiseSpec, grid: TimeGrid) -> tuple:
+    """``(N, s)`` when ``realize`` samples ``grid`` by one inverse FFT of N samples
+    per base period, with ``s`` the step's drift per sample to correct to first
+    order, or 0.0 when the period is used as it is; ``(0, 0.0)`` when it samples
+    the grid by block shift (see the module docstring)."""
+    ratio = 2.0 * math.pi / (spec.omega0 * grid.dt)
+    # a ratio past 4n needs no rounding, and may be inf, which cannot round
+    per = round(ratio) if ratio <= 4 * grid.n + 1 else 0
+    if not 2 * spec.teeth + 1 <= per <= 4 * grid.n:
+        return 0, 0.0
+    a, b = float(spec.omega0).as_integer_ratio()
+    c, d = float(grid.dt).as_integer_ratio()
+    # omega0*dt - 2*pi/N over a common denominator; an int quotient rounds once
+    slope = (a * c * per * 10**39 - _TWO_PI_E39 * b * d) / (b * d * per * 10**39)
+    drift = spec.teeth * (grid.n - 1) * abs(slope)
+    if drift > _MAX_CORRECTED_DRIFT:
+        return 0, 0.0
+    return per, (slope if drift > _MAX_DRIFT else 0.0)
+
+
 def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRealization:
     """Draw phases for one ensemble member and sample its waveforms on the grid.
 
-    One comb call samples the whole grid by block shift, beta and phi_N
-    together for a dephasing spec (see the module docstring).
+    A commensurate grid is one inverse real FFT per base period, wrapped to the
+    record; any other grid is one comb call by block shift.  Either way beta
+    and phi_N of a dephasing spec come together (see the module docstring).
     """
     _require_nyquist(spec, grid.dt)
-    psi = draw_phases(spec, realization_index)
+    z = phasors(draw_phases(spec, realization_index))
     if spec.quadrature is Quadrature.DEPHASING:
         amps = np.stack([spec.tooth_amplitudes(), _phase_amplitudes(spec)])
     else:
         amps = _drive_amplitudes(spec)
-    block = min(_TIME_BLOCK, grid.n)
-    starts = grid.dt * np.arange(0, grid.n, block)
-    waves = _comb_eval(grid.dt * np.arange(block), spec.omega0, amps, psi, starts)[..., :grid.n]
+    per, slope = _fft_period(spec, grid)
+    if per:
+        spectrum = np.zeros(amps.shape[:-1] + (per // 2 + 1,), dtype=complex)
+        np.multiply(amps * (per / 2), z, out=spectrum[..., 1:spec.teeth + 1])
+        if slope:
+            spectrum = np.stack([spectrum, spectrum * (1j * np.arange(per // 2 + 1))])
+        k = np.arange(grid.n)
+        waves = np.take(np.fft.irfft(spectrum, n=per), k, axis=-1, mode="wrap")
+        if slope:
+            waves = waves[0] + (slope * k) * waves[1]
+    else:
+        block = min(_TIME_BLOCK, grid.n)
+        starts = grid.dt * np.arange(0, grid.n, block)
+        waves = _comb_eval(grid.dt * np.arange(block), spec.omega0, amps, z,
+                           starts)[..., :grid.n]
     if spec.quadrature is Quadrature.DEPHASING:
         return NoiseRealization(spec, realization_index, grid, beta=waves[0], phi_n=waves[1])
     return NoiseRealization(spec, realization_index, grid, beta=waves)

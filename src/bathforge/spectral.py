@@ -133,14 +133,15 @@ def powerlaw_map_pm(p: float, quadrature) -> float:
 def to_dbc(power, carrier_power: float):
     """Convert power density (or tooth power) to dBc/Hz relative to a carrier.
 
-    Non-positive densities map to a fixed floor of -200 dBc.
+    Every density below a fixed floor of -200 dBc maps to it, non-positive
+    ones included.
     """
     if not (math.isfinite(carrier_power) and carrier_power > 0):
         raise ValidationError(f"carrier power must be finite and > 0, got {carrier_power}")
-    p = np.asarray(power, dtype=float)
-    out = np.full(p.shape, -200.0)
-    good = p > 0
-    out[good] = 10.0 * np.log10(p[good] / carrier_power)
+    ratio = np.asarray(power, dtype=float) / carrier_power
+    out = np.full(ratio.shape, -200.0)
+    good = ratio > 1e-20
+    out[good] = 10.0 * np.log10(ratio[good])
     return float(out) if np.ndim(power) == 0 else out
 
 

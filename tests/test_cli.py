@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bathforge import __version__
+from bathforge import __version__, noise
 from bathforge.cli import Options, build_parser, main
 from bathforge.config import mapping_from_spec, parse_kv, serialize_kv, spec_from_options
 from bathforge.errors import ConfigError
@@ -601,3 +601,51 @@ def test_readme_quick_start_found():
 def test_package_version_matches_pyproject():
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == __version__
+
+
+@pytest.mark.parametrize("teeth", [750, 100])
+def test_benchmark_commands_sample_by_fft(tmp_path, monkeypatch, teeth):
+    # the synth, verify-psd and export runs of the cli_synth_export benchmark, at
+    # its full and tiny sizes: every record is one inverse FFT per period
+    def refuse(*args, **kwargs):
+        raise AssertionError("realize sampled a grid by block shift")
+
+    monkeypatch.setattr(noise, "_comb_eval", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "white.cfg").write_text(WHITE_CFG.replace("teeth = 50", f"teeth = {teeth}"))
+    (tmp_path / "prog.txt").write_text("0.02 500 0.1\n0.03 1500 2.0\n0.015 800 1.0\n"
+                                       "0.035 1200 4.0\n")
+    for argv in (["synth", "--realizations", "2", "--periods", "1", "--out", "noise"],
+                 ["verify-psd", "--realizations", "2", "--out", "psd"],
+                 ["export", "--program", "prog.txt", "--rate", "60000", "--format", "both",
+                  "--bits", "16", "--out", "wave"]):
+        assert main(argv + ["--spec", "white.cfg"]) == 0, argv
+
+
+@pytest.mark.parametrize("argv", [[], ["synth"], ["export"], ["verify-psd"], ["simulate"],
+                                  ["predict"], ["scan-alpha"]])
+def test_help_matches_full_parser(capsys, argv):
+    # main builds only the invoked command's flags; its help is the full parser's
+    with pytest.raises(SystemExit) as run:
+        main(argv + ["--help"])
+    assert run.value.code == 0
+    text = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["--help"])
+    assert capsys.readouterr().out == text
+    if not argv:
+        assert all(name in text for name in ("synth", "export", "verify-psd", "simulate",
+                                             "predict", "scan-alpha"))
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["bogus", "--spec", "x.cfg"], ["--spec"]])
+def test_bad_command_errors_match_full_parser(capsys, argv):
+    # with no command or an unknown one, main builds no command's flags and
+    # fails as the full parser does
+    with pytest.raises(SystemExit) as run:
+        main(argv)
+    text = capsys.readouterr().err
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    assert (run.value.code, text) == (full.value.code, capsys.readouterr().err)
+    assert run.value.code == 2

@@ -67,17 +67,17 @@ DIGESTS = {
         "ramsey.manifest": "af4f19a05931dd22a985ca8899a8d0a0b0fcd3c36f7c82f4d48be932997f7843",
     },
     "synth": {
-        "noise.manifest": "17f4def35b28397594bffe963f8a4b9a202a57538f518b7c1d3d588aaa8f82a3",
-        "noise_0000.csv": "63c80e40bb8aeea9bc63c4b44791e4e6652c5e1f303b4403abb4ec9fd5877a7d",
-        "noise_0001.csv": "36964f1ebbc543100bf7ef6cc33643ea9440159390c0d2b56fdec548e16ec124",
+        "noise.manifest": "b87d9a14785af358d19bd2d02d6840791236d291b102e24345533f0dcd027bbc",
+        "noise_0000.csv": "d449117956e45e5161bb78b78032116464307922a8d403fd21e666006bfaf16b",
+        "noise_0001.csv": "f0fac5c8ac32ee2256622f70176a8e4c728341aa596a2dd1fb71fbe616024048",
     },
     "synth_envelope": {
-        "env.manifest": "3b1dcc67b50f0c4c616746ce08d37433b99b1f835076cddc493f18b11e6fd0fc",
-        "env_0000.csv": "63636decedf49607d09689dc4c431b2414e8c8a6283ab95dbb6b6f3b8154b8b4",
+        "env.manifest": "52aaa92eab26fde8d26594cf11d93fec5e8c245619fbecc77f3cbfd0122b40c3",
+        "env_0000.csv": "ce64efe607b063e1bea12a6f9e38a9e9d3f2959c786b8b84393824710200fa94",
     },
     "verify-psd": {
-        "psd.csv": "0e83d09e34e84141d8904f056e267cfb85c7b49174242291360c236c22b76dd4",
-        "psd.manifest": "98c9ffda1396928ae950bac1dea140110892b4f35ebe736bffe3635d69469829",
+        "psd.csv": "a84f8801078bd4630c868d2aa0cc8b6572e8fbdf39f4cc762c8fe9ddaa1e40f9",
+        "psd.manifest": "bf9e899663173e2093db82d56ab18d5ef8d92c356f2240b07e1647c4088ec497",
     },
 }
 

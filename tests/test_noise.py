@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bathforge import (AmplitudeRangeWarning, NoiseSpec, NyquistError, Quadrature,
@@ -251,6 +252,19 @@ class TestPhaseStream:
             draw_phase_matrix(spec, [0, index])
         with pytest.raises(ValidationError, match="realization_index"):
             draw_phases(spec, index)
+
+    def test_plain_int_block_checked_without_per_index_calls(self, monkeypatch):
+        spec = white_dephasing()
+        calls = []
+        inner = noise.require_int
+        monkeypatch.setattr(noise, "require_int",
+                            lambda *args: calls.append(args) or inner(*args))
+        draw_phase_matrix(spec, range(500))
+        assert calls == []
+        with pytest.raises(ValidationError, match="realization_index"):
+            draw_phase_matrix(spec, [0, 2**64])
+        with pytest.raises(ValidationError, match="realization_index"):
+            draw_phase_matrix(spec, [3, True])
 
     def test_numpy_integer_indices_accepted(self):
         spec = white_dephasing()
@@ -587,12 +601,16 @@ class TestRealizeAgainstLongDouble:
     """``realize`` against the long-double direct sum at the grid's exact times.
 
     n crosses the time block of the shifted evaluation and reaches the CLI's
-    record lengths; dt is the CLI's record spacing (whole base periods at
-    4J + 1 samples per period) or its export spacing 1/rate, with the rate
-    at 20 times the top tooth.
+    record lengths.  Three spacings are commensurate and sampled by inverse FFT:
+    the CLI's record spacing (whole base periods at 4J + 1 samples per period),
+    its export spacing 1/rate, with the rate at 20 times the top tooth, and
+    that rate's spacing 1e-10 longer, which drifts far enough to take the
+    first-order term.  Two are not and keep the block shift: a rate of
+    60,001 Hz, and sqrt(2)/1000 of a base period.
     """
 
-    OMEGA0, RATE = TWO_PI * 30.0, 60_000.0
+    F0 = 30.0
+    OMEGA0 = TWO_PI * F0
 
     def check(self, grid, teeth):
         times = np.longdouble(grid.dt) * np.arange(grid.n)
@@ -610,36 +628,154 @@ class TestRealizeAgainstLongDouble:
             assert out.shape == (grid.n,)
             assert float(np.max(np.abs(out - ref))) <= 1e-12 * float(np.sum(np.abs(amps)))
 
-    @pytest.mark.parametrize("spacing", ["periods", "rate"])
+    def grid(self, kind, per, n, teeth):
+        """n samples, ``per`` to a base period ("periods", "rate", "near"), or at a
+        spacing near that which no whole number of samples per period fits
+        ("rate_off", "irrational"); checked to take the path its kind and length
+        call for."""
+        dt = {"periods": TimeGrid.periods_of(self.OMEGA0, 1, per).dt,
+              "rate": 1.0 / (per * self.F0), "near": (1.0 + 1e-10) / (per * self.F0),
+              "rate_off": 1.0 / (per * self.F0 + 1.0),
+              "irrational": 1.0 / (per * self.F0 * math.sqrt(2.0))}[kind]
+        grid = TimeGrid(dt, n)
+        fft, slope = noise._fft_period(white_dephasing(omega0=self.OMEGA0, teeth=teeth), grid)
+        # one sample, at t = 0, has no drift on any spacing, so takes either path
+        if n > 1:
+            commensurate = kind in ("periods", "rate", "near")
+            assert fft == (per if commensurate and per <= 4 * n else 0)
+            assert slope != 0.0 or not (fft and kind == "near")
+        return grid
+
+    @pytest.mark.parametrize("spacing", ["periods", "rate", "near", "rate_off", "irrational"])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 3001, 12004])
     def test_within_1e12_of_amplitude_sum(self, n, spacing):
         teeth = 100
-        dt = (TimeGrid.periods_of(self.OMEGA0, 1, 4 * teeth + 1).dt
-              if spacing == "periods" else 1.0 / self.RATE)
-        self.check(TimeGrid(dt, n), teeth)
+        # 2000 samples per period is a 60 kHz rate ("rate", "near") or 60,001 Hz
+        # ("rate_off")
+        per = {"periods": 4 * teeth + 1, "irrational": 500}.get(spacing, 2000)
+        self.check(self.grid(spacing, per, n, teeth), teeth)
 
     def test_record_longer_than_one_run_of_starts(self):
         # starts are folded in runs of _TIME_BLOCK; this record ends two samples
-        # into a second run's second block
+        # into a second run's second block, at 60,001 Hz
         block = noise._TIME_BLOCK
-        self.check(TimeGrid(1.0 / self.RATE, block * block + block + 2), teeth=3)
+        self.check(self.grid("rate_off", 2000, block * block + block + 2, 3), teeth=3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(per=st.integers(3, 400), teeth=st.integers(1, 60), periods=st.integers(1, 6),
+           tail=st.floats(0.0, 1.0),
+           kind=st.sampled_from(["periods", "rate", "near", "rate_off", "irrational"]))
+    def test_both_paths_property(self, per, teeth, periods, tail, kind):
+        # n reaches into the last of ``periods`` base periods
+        teeth = min(teeth, (per - 1) // 2)
+        n = (periods - 1) * per + max(1, round(tail * per))
+        self.check(self.grid(kind, per, n, teeth), teeth)
 
 
-def test_one_transform_per_time_sample(monkeypatch):
-    # phases once, the block offsets once and each block start once, shared by
-    # beta and phi_N: no J x m trig table
-    spec = white_dephasing(omega0=TWO_PI * 50.0, teeth=750, seed=3)
-    grid = TimeGrid.periods_of(spec.omega0, 1, 3001)
-    transformed = []
-    inner = noise.phasors
+# the grids cli_synth_export's commands sample: white dephasing, f0 = 4 Hz, J = 750
+CLI_GRIDS = {"synth": TimeGrid.periods_of(TWO_PI * 4.0, 1, 3001),
+             "verify-psd": TimeGrid.periods_of(TWO_PI * 4.0, 4, 3001),
+             "export": TimeGrid(1.0 / 60_000.0, 6000)}
+
+
+def _count_transforms(monkeypatch):
+    """Record the size of every phasor transform ``realize`` takes, and whether it
+    called the comb evaluator."""
+    transformed, comb_calls = [], []
+    phasors_inner, comb_inner = noise.phasors, noise._comb_eval
 
     def counting(psi):
         transformed.append(np.size(psi))
-        return inner(psi)
+        return phasors_inner(psi)
+
+    def comb(*args, **kwargs):
+        comb_calls.append(1)
+        return comb_inner(*args, **kwargs)
 
     monkeypatch.setattr(noise, "phasors", counting)
+    monkeypatch.setattr(noise, "_comb_eval", comb)
+    return transformed, comb_calls
+
+
+def test_one_transform_per_time_sample(monkeypatch):
+    # block shift, on a grid whose rate is not a multiple of f0: phases once, the
+    # block offsets once and each block start once, shared by beta and phi_N; no
+    # J x m trig table
+    spec = white_dephasing(omega0=TWO_PI * 50.0, teeth=750, seed=3)
+    grid = TimeGrid(1.0 / 150_001.0, 3001)
+    transformed, comb_calls = _count_transforms(monkeypatch)
     realize(spec, grid, 0)
     assert sum(transformed) == 750 + 256 + math.ceil(3001 / 256)
+    assert len(comb_calls) == 1
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GRIDS))
+def test_commensurate_grid_transforms_phases_only(monkeypatch, command):
+    # one inverse FFT per period: the J phases are the only transform, no comb call
+    spec = white_dephasing(omega0=TWO_PI * 4.0, teeth=750, seed=3)
+    grid = CLI_GRIDS[command]
+    assert noise._fft_period(spec, grid)[0] == {"export": 15_000}.get(command, 3001)
+    transformed, comb_calls = _count_transforms(monkeypatch)
+    real = realize(spec, grid, 0)
+    assert transformed == [750] and comb_calls == []
+    # the realization keeps the record's n samples, not a longer tiled array
+    assert real.beta.base.shape == (2, grid.n)
+
+
+def test_cli_grids_take_fft_at_every_f0():
+    # synth, verify-psd and export grids at J = 750 for f0 from 1 to 100 Hz in
+    # 0.1 Hz steps, the export rate a whole multiple (15,000) of f0: a float
+    # step is a few roundings off 2*pi/N, well inside the corrected drift bound
+    spec = white_dephasing(teeth=750)
+    for f0 in np.arange(10, 1001) / 10:
+        omega0 = TWO_PI * f0
+        spec = dataclasses.replace(spec, omega0=omega0)
+        for grid, per in ((TimeGrid.periods_of(omega0, 1, 3001), 3001),
+                          (TimeGrid.periods_of(omega0, 4, 3001), 3001),
+                          (TimeGrid(1.0 / (15_000 * f0), 6000), 15_000)):
+            assert noise._fft_period(spec, grid)[0] == per, (f0, grid)
+
+
+def test_short_record_of_a_long_period_keeps_block_shift():
+    # 700,000 samples per base period over a 20,000-sample record: the transform
+    # would allocate a (2, 350,001) complex spectrum and a (2, 700,000) period,
+    # 23 MB at its peak, where the block shift's peak is about 7 MB
+    spec = white_dephasing(omega0=TWO_PI, teeth=750, seed=2)
+    grid = TimeGrid(1.0 / 700_000, 20_000)
+    assert noise._fft_period(spec, grid) == (0, 0.0)
+    tracemalloc.start()
+    try:
+        real = realize(spec, grid, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert real.beta.shape == (20_000,)
+    assert peak < 12_000_000
+
+
+def test_period_past_float_range_keeps_block_shift():
+    # omega0*dt = 6e-320: 2*pi/(omega0*dt) overflows to inf
+    spec = white_dephasing(omega0=6e-160, teeth=3)
+    grid = TimeGrid(1e-160, 8)
+    assert noise._fft_period(spec, grid) == (0, 0.0)
+    assert realize(spec, grid, 0).beta.shape == (8,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(per=st.integers(3, 500), teeth=st.integers(1, 40), periods=st.integers(2, 6),
+       seed=st.integers(0, 2**64 - 1))
+def test_commensurate_record_repeats_bit_exactly(per, teeth, periods, seed):
+    teeth = min(teeth, (per - 1) // 2)
+    spec = white_dephasing(omega0=TWO_PI * 30.0, teeth=teeth, seed=seed)
+    grid = TimeGrid.periods_of(spec.omega0, periods, per)
+    fft, slope = noise._fft_period(spec, grid)
+    assert fft == per
+    # a record whose drift is within _MAX_DRIFT is the period as it is
+    assume(slope == 0.0)
+    real = realize(spec, grid, 7)
+    for wave in (real.beta, real.phi_n):
+        rows = bits(wave).reshape(periods, per)
+        assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
 
 class TestRealizationInvariants:

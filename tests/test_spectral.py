@@ -204,8 +204,10 @@ class TestDbc:
         assert np.allclose(back, vals, rtol=1e-12)
 
     def test_floor_for_nonpositive(self):
-        out = to_dbc(np.array([0.0, -1.0, 1.0]), 1.0)
+        out = to_dbc(np.array([0.0, -1.0, 1.0, 1e-30]), 1.0)
         assert out[0] == -200.0 and out[1] == -200.0 and out[2] == 0.0
+        # a density below the floor (a bin at the rounding floor) is floored too
+        assert out[3] == -200.0
 
     def test_rejects_bad_carrier(self):
         with pytest.raises(ValidationError):
