@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +19,10 @@ _PARAM_NAMES = ("amplitude", "t_decay", "frequency", "phase", "offset")
 _TAU_SPAN_T2 = 2.5     # alpha_scaling's tau window, in predicted T2
 _FRINGE_PERIODS = 4.0  # alpha_scaling's fringe oscillations across that window
 _MIN_FIT_POINTS = 8    # fewest sweep points fit_decay accepts
+_MIN_DECAY = 1e-12     # fit_decay's lower bound on T, in s
+_MAX_STEPS = 100       # least_squares' cap on proposed steps
+_STEP_ULPS = 4         # least_squares stops at a step of this many ulp or fewer
+_LAM_FIRST = 1e-3      # least_squares' damping after a refused undamped step
 
 
 @dataclass
@@ -89,25 +93,69 @@ def _initial_decay(t: np.ndarray, y: np.ndarray) -> float:
     return float(t_span / 2.0)
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on the first fit.
+class _Solution(NamedTuple):
+    """What ``least_squares`` hands back: the last point it took, and how."""
 
-    A module-level name, so that ``import bathforge`` loads no scipy and a
-    wrapper set on ``bathforge.analysis.least_squares`` sees every fit start.
+    x: np.ndarray
+    cost: float     # 0.5 * |r(x)|^2
+    nfev: int       # calls of ``fun``
+    success: bool   # False when the step cap ended the loop
+
+
+def least_squares(fun, x0, lower) -> _Solution:
+    """Minimize 0.5*|r(x)|^2 for ``fun(x) -> (r, J)`` by Levenberg-Marquardt.
+
+    Each step solves [J; sqrt(lam) D] dx = [-r; 0] with ``np.linalg.lstsq``, an
+    orthogonal factorization of J rather than the normal equations; D holds the
+    column norms of J (Marquardt, SIAM J. Appl. Math. 11, 431, 1963).  The loop
+    starts undamped, lam = 0.  A step is taken when it keeps ``x >= lower`` and
+    lowers the cost, or, undamped, when its length |J dx| is below that of every
+    step taken before it (once one has been): near the optimum rounding hides a
+    Gauss-Newton step's gain in cost long before the step itself is negligible.
+    A taken step cuts lam tenfold, to 0 below ``_LAM_FIRST``; a refused one sets
+    lam to ``_LAM_FIRST`` or multiplies it by ten.  It stops with ``success``
+    once a proposed step is at most ``_STEP_ULPS`` ulp in every parameter, or
+    without after ``_MAX_STEPS`` proposals; either way it hands back the last
+    point taken.
     """
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
+    x = np.asarray(x0, dtype=float)
+    r, jac = fun(x)
+    cost, nfev, lam, shortest = 0.5 * float(r @ r), 1, 0.0, math.inf
+    for _ in range(_MAX_STEPS):
+        damping = np.diag(np.sqrt(lam) * np.linalg.norm(jac, axis=0))
+        dx = np.linalg.lstsq(np.vstack([jac, damping]), np.r_[-r, np.zeros(len(x))],
+                             rcond=None)[0]
+        if np.all(np.abs(dx) <= _STEP_ULPS * np.spacing(np.abs(x))):
+            return _Solution(x, cost, nfev, True)
+        x_new = x + dx
+        if np.all(x_new >= lower):
+            r_new, jac_new = fun(x_new)
+            nfev += 1
+            cost_new = 0.5 * float(r_new @ r_new)
+            length = float(np.linalg.norm(jac @ dx))
+            if cost_new < cost or lam == 0.0 and length < shortest < math.inf:
+                x, r, jac, cost = x_new, r_new, jac_new, cost_new
+                shortest = min(shortest, length)
+                lam = lam / 10.0 if lam > _LAM_FIRST else 0.0
+                continue
+        lam = max(10.0 * lam, _LAM_FIRST)
+    return _Solution(x, cost, nfev, False)
 
 
 def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
-    """Weighted separable least-squares fit of a decaying fringe to a record.
+    """Weighted least-squares fit of a decaying fringe to a record.
 
-    The fringe is linear in (A cos phi0, A sin phi0, c) at fixed (T, delta),
-    so weighted linear least squares solves those inside the residual
-    (variable projection, Golub & Pereyra 1973) and the nonlinear search runs
-    over (T, delta) alone, from the FFT-peak frequency with the rectified-
-    envelope decay time and with 0.35 of it.  An amplitude above 1.05 or an
-    offset outside [-0.5, 1.5] raises FitError.  Weights are 1/stderr^2; any
+    Two starts, from the FFT-peak frequency with the rectified-envelope decay
+    time and with 0.35 of it.  At each start the fringe is linear in
+    (u, v, c) = (A cos phi0, A sin phi0, c), so weighted linear least squares
+    solves those; ``least_squares`` then runs on all five parameters with the
+    closed-form Jacobian, keeping T >= 1e-12 s and delta >= 0, to the point
+    where its steps are a few ulp.  The converged start of lower cost wins,
+    and the reported (A, phi0, c) are solved linearly again at its
+    (T, delta), so A >= 0 and phi0 in (-pi, pi].  An amplitude above 1.05
+    or an offset outside [-0.5, 1.5] raises FitError naming it, checked on
+    the best point even when no start converged; past that check, no
+    converged start raises FitError too.  Weights are 1/stderr^2; any
     non-positive stderr falls back to an unweighted fit, with ``weighted``
     False.  A sweep that decreases anywhere raises ValidationError.
     """
@@ -129,41 +177,40 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
         sigma = se
         weighted = True
 
-    def project(q):
-        """Basis [env cos(f t), -env sin(f t), 1] at (T, f) and its (u, v, c)."""
-        env = _envelope(model, t, q[0])
-        basis = np.column_stack([env * np.cos(q[1] * t), -env * np.sin(q[1] * t),
-                                 np.ones_like(t)])
-        coef, *_ = np.linalg.lstsq(basis / sigma[:, None], y / sigma, rcond=None)
-        return basis, coef
+    def project(T, f):
+        """(u, v, c) of the fringe at (T, f), by weighted linear least squares on
+        the basis [env cos(f t), -env sin(f t), 1]."""
+        env = _envelope(model, t, T)
+        basis = np.column_stack([env * np.cos(f * t), -env * np.sin(f * t), np.ones_like(t)])
+        return np.linalg.lstsq(basis / sigma[:, None], y / sigma, rcond=None)[0]
 
-    def resid(q):
-        basis, coef = project(q)
-        return (basis @ coef - y) / sigma
+    def fun(p):
+        return (_model_eval(model, t, p) - y) / sigma, _jacobian(model, t, p) / sigma[:, None]
 
     f0 = _initial_frequency(t, y)
     T0 = _initial_decay(t, y)
-    best = None
+    lower = np.array([-np.inf, _MIN_DECAY, 0.0, -np.inf, -np.inf])
+    sols = []
     for T_start in (T0, 0.35 * T0):
         try:
-            sol = least_squares(resid, [T_start, f0], bounds=([1e-12, 0.0], np.inf),
-                                method="trf", x_scale="jac", ftol=1e-14, xtol=1e-14,
-                                gtol=1e-14)
-        except ValueError:  # includes LinAlgError
-            continue
-        if not sol.success:
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None:
+            u, v, c = project(T_start, f0)
+            sols.append(least_squares(
+                fun, [math.hypot(u, v), T_start, f0, math.atan2(v, u), c], lower))
+        except ValueError:  # includes LinAlgError: this start is skipped
+            pass
+    if not sols:
         raise FitError("fit did not converge from any start")
-
-    u, v, c = project(best.x)[1]
-    p = np.array([math.hypot(u, v), best.x[0], best.x[1], math.atan2(v, u), c])
+    # a converged start wins; without one, the best point still gets the range checks
+    best = min(sols, key=lambda sol: (not sol.success, sol.cost))
+    T, f = best.x[1:3]
+    u, v, c = project(T, f)
+    p = np.array([math.hypot(u, v), T, f, math.atan2(v, u), c])
     params = dict(zip(_PARAM_NAMES, (float(x) for x in p)))
     for name, lo, hi in (("amplitude", 0.0, 1.05), ("offset", -0.5, 1.5)):
         if not lo <= params[name] <= hi:
             raise FitError(f"fitted {name} {params[name]:.3g} outside [{lo:g}, {hi:g}]")
+    if not best.success:
+        raise FitError("fit did not converge from any start")
     fit_y = _model_eval(model, t, p)
     r = (fit_y - y) / sigma
     jac = _jacobian(model, t, p) / sigma[:, None]

@@ -24,6 +24,8 @@ import numpy as np
 from .errors import ValidationError, require_sweep
 from .noise import NoiseSpec, Quadrature, analytic_psd
 
+_ROOT_STEPS = 200  # predicted_t2's cap on Newton-bisection steps inside the bracket
+
 
 @dataclass(frozen=True)
 class CoherenceCurve:
@@ -72,10 +74,13 @@ def predicted_t2(spec: NoiseSpec) -> float:
 
     The search window runs from 1e-9 periods of the highest tooth,
     ``1e-9 * 2*pi / omega_cutoff``, to 1e4 base periods, ``1e4 * 2*pi / omega0``.
-    It is scanned geometrically for a bracket that Brent's method polishes,
-    so the result satisfies |chi(T2) - 1| < 1e-9 even though the comb chi is
-    oscillatory at long tau.  Raises ValidationError when chi never reaches 1
-    in the window (alpha too small: the comb variance bounds chi).
+    It is scanned geometrically for a bracket, inside which a safeguarded
+    Newton iteration on the closed-form slope
+    ``chi'(tau) = sum_j a_j^2 sin(omega_j tau) / (2 omega_j)`` polishes the root,
+    bisecting whenever a Newton step would leave the bracket.  So the result
+    satisfies |chi(T2) - 1| < 1e-9 even though the comb chi is oscillatory at
+    long tau.  Raises ValidationError when chi never reaches 1 in the window
+    (alpha too small: the comb variance bounds chi).
     """
     tau_min = 1e-9 * 2.0 * np.pi / spec.omega_cutoff
     tau_max = 1e4 * 2.0 * np.pi / spec.omega0
@@ -94,8 +99,20 @@ def predicted_t2(spec: NoiseSpec) -> float:
             raise ValidationError(
                 "chi(tau) does not reach 1 within the search window; "
                 "noise too weak for a T2 in range")
-    from scipy.optimize import brentq  # on first use, so import bathforge loads no scipy
-    t2 = brentq(f, lo, hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
+    comb = analytic_psd(spec)
+    slope_weights = comb.weights / (np.pi * comb.omega)  # (2/pi) w_j / (2 omega_j)
+    t2 = 0.5 * (lo + hi)
+    for _ in range(_ROOT_STEPS):
+        value = f(t2)
+        if value == 0.0:
+            break
+        lo, hi = (t2, hi) if value < 0 else (lo, t2)
+        slope = float(np.sin(comb.omega * t2) @ slope_weights)
+        newton = t2 - value / slope if slope else np.nan
+        t_next = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if abs(t_next - t2) <= 2.0 * np.spacing(t2):
+            break
+        t2 = t_next
     if abs(chi_fid_comb(spec, t2) - 1.0) > 1e-9:
         raise ValidationError("T2 root did not converge to |chi-1| < 1e-9")
     return float(t2)

@@ -63,9 +63,9 @@ bit for bit, for seeds and indices in [0, 2**64 - 1].  :func:`draw_phase_matrix`
 computes it without a SeedSequence or Generator per row:
 
 1. Pool: the seed's two little-endian 32-bit words, zero-padded to 4, are
-   hashed into a 4-word pool and cross-mixed; then the index's low word, and
-   its high word when nonzero, are mixed into every pool word.  This is
-   SeedSequence's uint32 hash, run on all rows at once.
+   hashed into a 4-word pool and cross-mixed, once per seed; then the
+   index's low word, and its high word when nonzero, are mixed into every
+   pool word.  This is SeedSequence's uint32 hash, run on all rows at once.
 2. State: ``generate_state(4, uint64)`` gives ``w0..w3``; with
    ``inc = (w2 << 64 | w3) << 1 | 1`` the PCG64 state is
    ``((inc + (w0 << 64 | w1)) * M + inc) mod 2**128``, as PCG64 seeds itself.
@@ -76,6 +76,7 @@ computes it without a SeedSequence or Generator per row:
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 import warnings
@@ -259,13 +260,14 @@ def draw_phase_matrix(spec: NoiseSpec, indices: Sequence[int]) -> np.ndarray:
 
 
 def _hasher(const: int, mult: int):
-    """SeedSequence's running hash: xor the constant, step it by ``mult``, multiply, fold."""
+    """SeedSequence's running hash: xor the constant, step it by ``mult``, multiply, fold.
+    The constant it will use next is ``hashed.const``."""
     def hashed(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & 0xFFFFFFFF
-        value = value * const
+        value = value ^ hashed.const
+        hashed.const = hashed.const * mult & 0xFFFFFFFF
+        value = value * hashed.const
         return value ^ value >> 16
+    hashed.const = const
     return hashed
 
 
@@ -274,11 +276,11 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _spawn_states(seed: int, indices: list) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` per index, (n, 4)."""
-    index = np.array(indices, dtype=np.uint64)
-    lo = (index & 0xFFFFFFFF).astype(np.uint32)
-    hi = (index >> 32).astype(np.uint32)
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence's pool once the seed's words are hashed in and cross-mixed, and
+    the hash constant it has reached: the part of every row's state that the seed
+    alone fixes, so it is computed once per seed."""
     hashmix = _hasher(_INIT_A, _MULT_A)
     with np.errstate(over="ignore"):
         pool = [hashmix(np.full(1, w, np.uint32)) for w in (seed & 0xFFFFFFFF, seed >> 32, 0, 0)]
@@ -286,6 +288,17 @@ def _spawn_states(seed: int, indices: list) -> np.ndarray:
             for dst in range(_POOL):
                 if src != dst:
                     pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    return tuple(np.concatenate(pool)), hashmix.const
+
+
+def _spawn_states(seed: int, indices: list) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` per index, (n, 4)."""
+    index = np.array(indices, dtype=np.uint64)
+    lo = (index & 0xFFFFFFFF).astype(np.uint32)
+    hi = (index >> 32).astype(np.uint32)
+    pool, const = _seed_pool(seed)
+    hashmix = _hasher(const, _MULT_A)
+    with np.errstate(over="ignore"):
         pool = [_mix(p, hashmix(lo)) for p in pool]
         pool = [np.where(hi > 0, _mix(p, hashmix(hi)), p) for p in pool]
         hashed = _hasher(_INIT_B, _MULT_B)

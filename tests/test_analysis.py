@@ -5,8 +5,8 @@ import pytest
 
 from bathforge import (ExperimentRecord, FitError, NoiseSpec, Quadrature,
                        ValidationError, alpha_scaling, fit_decay,
-                       fit_rate_exponent, predicted_t2, ramsey)
-from bathforge.analysis import export_scan_csv
+                       fit_rate_exponent, predicted_t2, rabi, ramsey)
+from bathforge.analysis import _jacobian, _model_eval, export_scan_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,7 +123,7 @@ class TestFitDecay:
 
         monkeypatch.setattr(bathforge.analysis, "least_squares", counting)
         fit_decay(synthetic_record())
-        assert [x.shape for x in x0s] == [(2,), (2,)]
+        assert [x.shape for x in x0s] == [(5,), (5,)]
 
     @pytest.mark.parametrize("model", ["exponential", "gaussian"])
     def test_jacobian_matches_central_difference(self, model):
@@ -139,6 +139,64 @@ class TestFitDecay:
         quiet = fit_decay(synthetic_record(noise=0.002, stderr=0.002, seed=1))
         loud = fit_decay(synthetic_record(noise=0.02, stderr=0.02, seed=1))
         assert loud.param_errors["t_decay"] > quiet.param_errors["t_decay"]
+
+
+def criterion7_record(alpha):
+    """Criterion 7's Gaussian-decay Rabi record: 72 durations x 500 realizations."""
+    omega = TWO_PI * 1000.0
+    spec = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=alpha, omega0=TWO_PI * 2.0,
+                     teeth=10, p=0, seed=300)
+    t_dec = 2.0 / (omega * alpha * math.sqrt(10.0))
+    return rabi(spec, drive_rabi=omega, durations=np.linspace(t_dec / 36, 2.5 * t_dec, 72),
+                n_realizations=500)
+
+
+def t2_study_record(alpha):
+    """One record shaped as alpha_scaling takes it: 36 taus over 2.5 predicted T2
+    with 4 fringes, on the white 4 Hz, 750-tooth comb (200 realizations)."""
+    spec = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=alpha, omega0=TWO_PI * 4.0,
+                     teeth=750, p=0, seed=11)
+    tau_max = 2.5 * predicted_t2(spec)
+    return ramsey(spec, fringe_detuning=TWO_PI * 4.0 / tau_max, pulse_rabi=TWO_PI * 1e4,
+                  taus=np.linspace(tau_max / 36, tau_max, 36), n_realizations=200)
+
+
+@pytest.fixture(scope="module")
+def oracle_records():
+    records = [(criterion7_record(a), "gaussian") for a in (0.025, 0.045, 0.08)]
+    return records + [(t2_study_record(2.4), "exponential")]
+
+
+def fitted_params(fit):
+    return np.array([fit.params[k] for k in
+                     ("amplitude", "t_decay", "frequency", "phase", "offset")])
+
+
+class TestSolverOracles:
+    """fit_decay reaches the stationary point of its weighted residual, checked
+    against MINPACK's Levenberg-Marquardt (scipy) and against rounding."""
+
+    def test_minpack_polish_does_not_move_t(self, oracle_records):
+        from scipy.optimize import least_squares as minpack
+        for rec, model in oracle_records:
+            fit = fit_decay(rec, model=model)
+            t, y, sigma = rec.sweep, rec.mean, rec.stderr
+            sol = minpack(lambda p: (_model_eval(model, t, p) - y) / sigma,
+                          fitted_params(fit), method="lm",
+                          jac=lambda p: _jacobian(model, t, p) / sigma[:, None],
+                          ftol=1e-15, xtol=1e-15, gtol=1e-15)
+            assert sol.x[1] == pytest.approx(fit.t2, rel=1e-12, abs=0)
+
+    def test_rounding_of_the_means_does_not_move_t(self, oracle_records):
+        signs = np.random.default_rng(5).choice([-1.0, 1.0], 72)
+        for rec, model in oracle_records:
+            nudged = ExperimentRecord(kind=rec.kind, sweep=rec.sweep,
+                                      mean=rec.mean + 1e-16 * rec.mean * signs[:len(rec.mean)],
+                                      stderr=rec.stderr, n_realizations=rec.n_realizations,
+                                      spec_hash=rec.spec_hash)
+            assert np.any(nudged.mean != rec.mean)
+            assert fit_decay(nudged, model=model).t2 == pytest.approx(
+                fit_decay(rec, model=model).t2, rel=1e-12, abs=0)
 
 
 class TestRateExponent:

@@ -1,4 +1,5 @@
-"""Importing bathforge and running the CLI commands that need no fit load no scipy.
+"""Importing bathforge, running every CLI command, fitting a decay and finding
+a T2 root load no scipy; only the PM sideband model imports it, for ``jv``.
 
 Each case runs in a fresh interpreter, so modules imported by other tests in
 this process do not count; the child prints the scipy modules it holds after
@@ -43,7 +44,9 @@ CHILD = textwrap.dedent("""
                   "--realizations", "3", "--out", "ram"],
                  ["simulate", "rabi", "--quadrature", "amplitude", "--alpha", "0.01",
                   "--tau-max", "0.004", "--points", "4", "--realizations", "3",
-                  "--out", "rabi"]):
+                  "--out", "rabi"],
+                 ["scan-alpha", "--alphas", "2.5,3.2,4.0,5.0", "--realizations", "20",
+                  "--points", "12", "--out", "scan"]):
         assert main(argv + spec) == 0, argv
     stages["cli"] = scipy_loaded()
 
@@ -55,6 +58,9 @@ CHILD = textwrap.dedent("""
                                      spec_hash="x")
     bathforge.fit_decay(rec)
     stages["fit_decay"] = scipy_loaded()
+    bathforge.predicted_t2(bathforge.NoiseSpec(quadrature=bathforge.Quadrature.DEPHASING,
+                                               alpha=2.0, omega0=25.0, teeth=30, p=0))
+    stages["predicted_t2"] = scipy_loaded()
     bathforge.pm_sidebands(1.0, 0.5, 10.0, 3)
     stages["pm_sidebands"] = scipy_loaded()
     print(json.dumps(stages))
@@ -79,8 +85,9 @@ def test_cli_commands_without_fits_load_no_scipy(stages):
     assert stages["cli"] == []
 
 
-def test_fit_decay_loads_the_solver(stages):
-    assert "scipy.optimize" in stages["fit_decay"]
+def test_fit_decay_and_predicted_t2_load_no_solver(stages):
+    # both solve in numpy; scipy.optimize is only the tests' oracle for them
+    assert stages["fit_decay"] == stages["predicted_t2"] == []
 
 
 def test_pm_sidebands_loads_bessel(stages):

@@ -161,6 +161,47 @@ class TestPredictedT2:
         assert predicted_t2(spec) == pytest.approx(2.0 / 9.0, rel=0.05)
 
 
+def brent_t2(spec):
+    """Reference T2: the same geometric bracket scan, polished by scipy's brentq."""
+    from scipy.optimize import brentq
+    f = lambda t: chi_fid_comb(spec, t) - 1.0
+    lo, tau_max = 1e-9 * TWO_PI / spec.omega_cutoff, 1e4 * TWO_PI / spec.omega0
+    if f(lo) >= 0:
+        raise ValidationError("chi already exceeds 1 at the lower search bound")
+    hi = lo
+    while f(hi) < 0:
+        if hi >= tau_max:
+            raise ValidationError("chi(tau) does not reach 1 within the search window")
+        lo, hi = hi, min(hi * 1.5, tau_max)
+    return brentq(f, lo, hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
+
+
+class TestPredictedT2AgainstBrent:
+    @pytest.mark.parametrize("spec", [
+        deph(2.0, **PAPER_COMB), deph(2.6, **PAPER_COMB), deph(5.2, **PAPER_COMB),
+        deph(3.0, **DENSE_COMB),
+        # the four noise strengths of the benchmark's Ramsey T2 study
+        deph(1.8, **PAPER_COMB), deph(2.4, **PAPER_COMB), deph(3.2, **PAPER_COMB),
+        deph(4.4, **PAPER_COMB),
+        # few teeth and coloured combs, where chi oscillates
+        deph(2.0, omega0_hz=50.0, teeth=1), deph(2.0, omega0_hz=50.0, teeth=10, p=-2),
+        deph(20.0, omega0_hz=4.0, teeth=10, p=1),
+    ], ids=lambda spec: f"a{spec.alpha:g}_J{spec.teeth}_p{spec.p:g}")
+    def test_root_matches_brentq(self, spec):
+        assert predicted_t2(spec) == pytest.approx(brent_t2(spec), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("spec", [deph(0.0, omega0_hz=4.0, teeth=20),
+                                      deph(0.05, omega0_hz=50.0, teeth=1),
+                                      deph(1e13, **PAPER_COMB)],
+                             ids=["zero", "weak_single_tooth", "past_one_at_lower_bound"])
+    def test_same_rejections_as_brentq(self, spec):
+        with pytest.raises(ValidationError) as ours:
+            predicted_t2(spec)
+        with pytest.raises(ValidationError) as reference:
+            brent_t2(spec)
+        assert str(ours.value).split(";")[0] == str(reference.value)
+
+
 class TestCoherenceCurve:
     def test_regimes(self):
         spec = deph(1.0, **PAPER_COMB)

@@ -55,8 +55,8 @@ DIGESTS = {
         "chi.manifest": "c0acb4772b99269a46fbcce0aca97ff4618b54756e5a8d1f2aff95c4b11085d0",
     },
     "scan-alpha": {
-        "scan.csv": "124bea8177b93a1149f2f24baaac21c5a25d1f15e313c21a7e5445de4394580d",
-        "scan.manifest": "62b4048b4d18e0a01e894286a430e632d24f068751c8b967e50ec6b62a783654",
+        "scan.csv": "11345368d226583f9b714eda03b7797f5e3c6564886afff0a4f723842e0b425d",
+        "scan.manifest": "442233c81855158eab05a94bee76bc64dcc6c6ed8750f763e2036dc3f2c020e6",
     },
     "simulate_rabi": {
         "rabi.csv": "5a729d9a58b3dce76c8c3909f122cee5d00da69b72cdc3baadf53fdadc317418",

@@ -231,6 +231,17 @@ class TestPhaseStream:
         for i, row in zip(indices, got):
             assert np.array_equal(bits(row), bits(numpy_stream(seed, i, teeth)))
 
+    def test_interleaved_seeds_keep_their_own_pool(self):
+        # the seed's part of SeedSequence's pool is computed once per seed; draws
+        # that alternate between two seeds (one past 32 bits) must not mix them
+        noise._seed_pool.cache_clear()
+        specs = [white_dephasing(teeth=9, seed=seed) for seed in (11, 2**40 + 3)]
+        for i in (0, 7, 2**32 + 5):
+            for spec in specs + specs[::-1]:
+                want = numpy_stream(spec.seed, i, spec.teeth)
+                assert np.array_equal(bits(draw_phases(spec, i)), bits(want))
+        assert noise._seed_pool.cache_info().misses == 2
+
     def test_no_seed_sequence_or_generator_per_row(self, monkeypatch):
         spec = white_dephasing(teeth=16, seed=5)
         want = draw_phase_matrix(spec, range(500))
