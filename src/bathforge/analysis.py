@@ -69,16 +69,12 @@ def _jacobian(model: str, t: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _initial_frequency(t: np.ndarray, y: np.ndarray) -> float:
-    """Fringe frequency seed from the periodogram peak (uniform grids only)."""
-    d = np.diff(t)
-    if len(d) and np.max(np.abs(d - d[0])) < 1e-9 * d[0]:
-        spec = np.abs(np.fft.rfft(y - y.mean()))
-        freqs = 2.0 * math.pi * np.fft.rfftfreq(len(y), d[0])
-        k = 1 + int(np.argmax(spec[1:]))
-        if spec[k] > 0:
-            return float(freqs[k])
-    span = t[-1] - t[0]
-    return 2.0 * math.pi * 3.0 / span
+    """Fringe frequency seed: the periodogram peak of the record interpolated onto
+    ``len(t)`` uniform points across its span (a uniform sweep is that grid)."""
+    grid = np.linspace(t[0], t[-1], len(t))
+    spec = np.abs(np.fft.rfft(np.interp(grid, t, y) - y.mean()))
+    k = 1 + int(np.argmax(spec[1:]))
+    return float(2.0 * math.pi * np.fft.rfftfreq(len(t), grid[1] - grid[0])[k])
 
 
 def _initial_decay(t: np.ndarray, y: np.ndarray) -> float:
@@ -145,8 +141,9 @@ def least_squares(fun, x0, lower) -> _Solution:
 def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
     """Weighted least-squares fit of a decaying fringe to a record.
 
-    Two starts, from the FFT-peak frequency with the rectified-envelope decay
-    time and with 0.35 of it.  At each start the fringe is linear in
+    Two starts, from the periodogram-peak frequency (of the record
+    interpolated onto a uniform sweep) with the rectified-envelope decay time
+    and with 0.35 of it.  At each start the fringe is linear in
     (u, v, c) = (A cos phi0, A sin phi0, c), so weighted linear least squares
     solves those; ``least_squares`` then runs on all five parameters with the
     closed-form Jacobian, keeping T >= 1e-12 s and delta >= 0, to the point
@@ -154,10 +151,11 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
     and the reported (A, phi0, c) are solved linearly again at its
     (T, delta), so A >= 0 and phi0 in (-pi, pi].  An amplitude above 1.05
     or an offset outside [-0.5, 1.5] raises FitError naming it, checked on
-    the best point even when no start converged; past that check, no
-    converged start raises FitError too.  Weights are 1/stderr^2; any
-    non-positive stderr falls back to an unweighted fit, with ``weighted``
-    False.  A sweep that decreases anywhere raises ValidationError.
+    the best point even when no start converged; past that check, FitError
+    is raised when no start converged, when the amplitude is consistent with
+    zero, and when T is no larger than its standard error.  Weights are
+    1/stderr^2; any non-positive stderr falls back to an unweighted fit, with
+    ``weighted`` False.  A sweep that decreases anywhere raises ValidationError.
     """
     if model not in _MODELS:
         raise ValidationError(f"model must be one of {_MODELS}")
@@ -225,6 +223,9 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
     r2 = 1.0 - float(np.sum((y - fit_y) ** 2)) / ss_tot if ss_tot > 0 else 0.0
     if params["amplitude"] < 3.0 * math.sqrt(max(cov[0, 0], 0.0)) and params["amplitude"] < 0.05:
         raise FitError("fringe amplitude consistent with zero: decay time unidentifiable")
+    if math.sqrt(max(cov[1, 1], 0.0)) >= T:
+        raise FitError(f"decay time {T:.3g} s no larger than its standard error: "
+                       "decay time unidentifiable")
     return DecayFit(model=model, params=params, covariance=cov, r_squared=r2,
                     weighted=weighted)
 

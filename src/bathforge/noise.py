@@ -22,20 +22,19 @@ so ``a_j ~ j**(p/2)`` in both quadratures.
 Every waveform is ``Re sum_j b_j z_j e^{i j omega0 t}``, an amplitude row
 ``b_j`` times the phasors: ``b_j = a_j`` for beta, and ``b_j = -i alpha F(j)``
 for phi_N, whose sine sum is the real part of a row times ``-i``.
-The times are block starts plus in-block offsets, ``s_q + r``, start-major.
 Every tooth is a harmonic of ``omega0``, so a table ``e^{i j omega0 t}`` is
-built from one transform ``e^{i omega0 t}`` per time by complex doubling, and
-``e^{i j omega0 (s_q + r)} = e^{i j omega0 s_q} e^{i j omega0 r}``: each run
-of ``_TIME_BLOCK`` starts is folded into the rows, and each block of
-``_TIME_BLOCK`` offsets takes one real product with its table, real and
-imaginary parts interleaved along j.  The ``*_waveform_at`` evaluators pass
-arbitrary times as the offsets and no starts: their rows are the phasors,
-given as ``psi`` or as ``phasors(psi)`` by a caller that evaluates one draw
-block twice, and the amplitudes scale each (<= _TIME_BLOCK, J) table.
-:func:`realize` samples a uniform grid one of two ways; beta and phi_N of a
-dephasing spec are two rows of one result either way.
+built from one transform ``e^{i omega0 t}`` per time by complex doubling.
+:func:`_comb_eval` has one form: each block of ``_TIME_BLOCK`` times takes one
+real product of the rows with its table, real and imaginary parts interleaved
+along j, written straight into the output.  The ``*_waveform_at`` evaluators
+pass the phasors as rows, given as ``psi`` or as ``phasors(psi)`` by a caller
+that evaluates one draw block twice, and the amplitudes scale each
+(<= _TIME_BLOCK, J) table.
+:func:`realize` samples a uniform grid one of two ways, both read from the
+step in turns ``omega0*dt/(2*pi) = x/y``, an exact ratio of ints (2*pi to 40
+digits); beta and phi_N of a dephasing spec are two rows of one result either way.
 
-* Commensurate grid, ``N = round(T0/dt)`` samples per base period
+* Commensurate grid, ``N = round(y/x)`` samples per base period
   ``T0 = 2*pi/omega0`` with ``2J + 1 <= N <= 4n``: every tooth is
   ``e^{2 pi i j k/N}`` up to a drift, so one period is one inverse real FFT of
   length N with ``X_j = (N/2) b_j z_j`` for ``1 <= j <= J``, wrapped to n
@@ -51,11 +50,13 @@ dephasing spec are two rows of one result either way.
   ``1e-16 * 2*pi*J*n/N``, so any such record under 10**9 samples takes this
   path when ``2J + 1 <= N <= 4n``.  The upper bound keeps the transform's
   arrays within a few records' memory.
-* Any other grid, by block shift: offsets ``r*dt`` for
-  ``r < B = min(_TIME_BLOCK, n)`` and ``Q = ceil(n/B)`` starts ``q*B*dt``, with
-  the amplitudes on its k start-side rows.  A record of up to
-  ``_TIME_BLOCK**2`` samples is then one (k*Q, 2J) @ (2J, B) product, and J
-  teeth on n samples transform ``J + B + Q`` values.
+* Any other grid, by block shift in :func:`realize`: sample ``q*B + r`` is
+  ``e^{i j omega0 q B dt} e^{i j omega0 r dt}``, with ``B = max(min(256, n),
+  ceil(n/256))`` offsets and ``Q = ceil(n/B) <= 256`` starts.  The start side
+  is folded into the rows ``b_j z_j e^{i j omega0 q B dt}``, so a record is one
+  comb call of (k*Q, 2J) rows on B offsets, and J teeth on n samples
+  transform ``J + B + Q`` values.  Each start phase is taken in exact turns,
+  ``(q*B*x mod y)/y``, so its rounding does not grow with t.
 
 Phase stream.  Row ``(seed, i)`` of every draw is numpy's stable stream
 (NEP 19): ``default_rng(SeedSequence(seed, spawn_key=(i,))).uniform(0, 2*pi, J)``,
@@ -99,8 +100,8 @@ _MASK128 = (1 << 128) - 1
 _UNIT_PHASE = 2.0 * math.pi * 2.0**-53
 # times per harmonic table in _comb_eval: (750, 256) complex is 3 MB
 _TIME_BLOCK = 256
-# 2*pi * 10**39 to the nearest integer (2*pi to 40 digits): an FFT grid's step is
-# within a few float roundings of 2*pi/N, so their difference is taken exactly
+# 2*pi * 10**39 to the nearest integer (2*pi to 40 digits): a grid's step in turns,
+# omega0*dt/(2*pi), is taken against it as an exact ratio of ints
 _TWO_PI_E39 = 6283185307179586476925286766559005768394
 # Both drift bounds (rad) keep an FFT record within half of the 1e-12 * sum_j |b_j|
 # realize is held to, and leave the other half to the transforms' rounding.  A
@@ -338,36 +339,25 @@ def _harmonics(omega0: float, times: np.ndarray, teeth: int) -> np.ndarray:
     return h
 
 
-def _comb_eval(times: np.ndarray, omega0: float, amps: np.ndarray, psi: np.ndarray,
-               starts: Optional[np.ndarray] = None) -> np.ndarray:
-    """``Re sum_j amps[..., j] z[..., j] e^{i j omega0 t}`` at ``t = starts[q] + times[r]``,
-    start-major, for phases ``psi`` or their phasors ``z``, (J,) or (..., J).
-
-    Without ``starts`` the rows are ``z`` and the (J,) ``amps`` scale each
-    table; with them, ``amps`` (J,) or (k, J) scale ``z``, and each run of
-    ``_TIME_BLOCK`` starts is folded into those rows (see the module docstring).
-    """
+def _comb_eval(times: np.ndarray, omega0: float, amps: Optional[np.ndarray],
+               psi: np.ndarray) -> np.ndarray:
+    """``Re sum_j amps[j] z[..., j] e^{i j omega0 t}`` at ``times``, for phases ``psi``
+    or their phasors ``z``, (J,) or (..., J); ``amps`` is None when the rows already
+    carry the amplitudes (see the module docstring)."""
     z = np.ascontiguousarray(psi, dtype=complex) if np.iscomplexobj(psi) else phasors(psi)
     times = np.asarray(times, dtype=float)
     teeth = z.shape[-1]
-    n_starts = 1 if starts is None else starts.size
-    left = z[..., None, :] if starts is None else (amps * z)[..., None, :]
-    out = np.empty(left.shape[:-2] + (n_starts * times.size,))
-    # written through a start-major view; the caller gets the array that owns
-    # the data, so numpy can reuse it for temporaries such as ``1.0 + out``
-    by_start = out.reshape(left.shape[:-2] + (n_starts, times.size))
-    for first_t in range(0, times.size, _TIME_BLOCK):
-        block = slice(first_t, first_t + _TIME_BLOCK)
+    rows = z.view(float).reshape(-1, 2 * teeth)
+    out = np.empty(z.shape[:-1] + (times.size,))
+    flat = out.reshape(len(rows), times.size)
+    for first in range(0, times.size, _TIME_BLOCK):
+        block = slice(first, first + _TIME_BLOCK)
         table = _harmonics(omega0, times[block], teeth)
-        if starts is None:
+        if amps is not None:
             table *= amps
         # Re(row . table) = (Re row, Im row) . (Re table, -Im table): half the work
         table = np.conjugate(table, out=table).view(float).T
-        for first in range(0, n_starts, _TIME_BLOCK):
-            run = slice(first, first + _TIME_BLOCK)
-            rows = left if starts is None else left * _harmonics(omega0, starts[run], teeth)
-            by_start[..., run, block] = (rows.view(float).reshape(-1, 2 * teeth) @ table
-                                         ).reshape(rows.shape[:-1] + (-1,))
+        np.matmul(rows, table, out=flat[:, block])
     return out
 
 
@@ -418,20 +408,24 @@ def _require_nyquist(spec: NoiseSpec, dt: float) -> None:
             f"for the highest comb tooth")
 
 
+def _turns_per_sample(spec: NoiseSpec, grid: TimeGrid) -> tuple:
+    """``omega0*dt / (2*pi)`` as an exact ratio of ints ``(x, y)``, with 2*pi to 40 digits."""
+    a, b = float(spec.omega0).as_integer_ratio()
+    c, d = float(grid.dt).as_integer_ratio()
+    return a * c * 10**39, _TWO_PI_E39 * b * d
+
+
 def _fft_period(spec: NoiseSpec, grid: TimeGrid) -> tuple:
     """``(N, s)`` when ``realize`` samples ``grid`` by one inverse FFT of N samples
     per base period, with ``s`` the step's drift per sample to correct to first
     order, or 0.0 when the period is used as it is; ``(0, 0.0)`` when it samples
     the grid by block shift (see the module docstring)."""
-    ratio = 2.0 * math.pi / (spec.omega0 * grid.dt)
-    # a ratio past 4n needs no rounding, and may be inf, which cannot round
-    per = round(ratio) if ratio <= 4 * grid.n + 1 else 0
+    x, y = _turns_per_sample(spec, grid)
+    per = (2 * y + x) // (2 * x)  # round(y/x), in ints
     if not 2 * spec.teeth + 1 <= per <= 4 * grid.n:
         return 0, 0.0
-    a, b = float(spec.omega0).as_integer_ratio()
-    c, d = float(grid.dt).as_integer_ratio()
-    # omega0*dt - 2*pi/N over a common denominator; an int quotient rounds once
-    slope = (a * c * per * 10**39 - _TWO_PI_E39 * b * d) / (b * d * per * 10**39)
+    # omega0*dt - 2*pi/N = 2*pi (x/y - 1/N) over one int denominator: rounded once
+    slope = _TWO_PI_E39 * (x * per - y) / (10**39 * y * per)
     drift = spec.teeth * (grid.n - 1) * abs(slope)
     if drift > _MAX_CORRECTED_DRIFT:
         return 0, 0.0
@@ -442,8 +436,9 @@ def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRea
     """Draw phases for one ensemble member and sample its waveforms on the grid.
 
     A commensurate grid is one inverse real FFT per base period, wrapped to the
-    record; any other grid is one comb call by block shift.  Either way beta
-    and phi_N of a dephasing spec come together (see the module docstring).
+    record; any other grid is one comb call by block shift, whose start phases
+    are exact turns.  Either way beta and phi_N of a dephasing spec come
+    together (see the module docstring).
     """
     _require_nyquist(spec, grid.dt)
     z = phasors(draw_phases(spec, realization_index))
@@ -462,10 +457,13 @@ def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRea
         if slope:
             waves = waves[0] + (slope * k) * waves[1]
     else:
-        block = min(_TIME_BLOCK, grid.n)
-        starts = grid.dt * np.arange(0, grid.n, block)
-        waves = _comb_eval(grid.dt * np.arange(block), spec.omega0, amps, z,
-                           starts)[..., :grid.n]
+        block = max(min(_TIME_BLOCK, grid.n), -(-grid.n // _TIME_BLOCK))
+        x, y = _turns_per_sample(spec, grid)
+        step = block * x % y
+        turns = np.array([q * step % y / y for q in range(-(-grid.n // block))])
+        rows = (amps * z)[..., None, :] * _harmonics(2.0 * math.pi, turns, spec.teeth)
+        waves = _comb_eval(grid.dt * np.arange(block), spec.omega0, None, rows)
+        waves = waves.reshape(amps.shape[:-1] + (-1,))[..., :grid.n]
     if spec.quadrature is Quadrature.DEPHASING:
         return NoiseRealization(spec, realization_index, grid, beta=waves[0], phi_n=waves[1])
     return NoiseRealization(spec, realization_index, grid, beta=waves)

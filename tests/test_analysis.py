@@ -6,7 +6,7 @@ import pytest
 from bathforge import (ExperimentRecord, FitError, NoiseSpec, Quadrature,
                        ValidationError, alpha_scaling, fit_decay,
                        fit_rate_exponent, predicted_t2, rabi, ramsey)
-from bathforge.analysis import _jacobian, _model_eval, export_scan_csv
+from bathforge.analysis import _initial_frequency, _jacobian, _model_eval, export_scan_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,6 +135,18 @@ class TestFitDecay:
                               / (2.0 * hk) for hk, dp in zip(h, np.diag(h))])
         assert np.allclose(_jacobian(model, t, p), fd, rtol=1e-6, atol=1e-9)
 
+    def test_decay_time_within_its_error_rejected(self):
+        # 8 noisy points over 1 s of a 1.59 s decay: without the check the fit
+        # returns T = 2.9e11 s at R^2 = 0.961, with a standard error far above T
+        rng = np.random.default_rng(8)
+        t = np.linspace(0.0, 1.0, 8)
+        y = np.clip(0.5 + 0.4 * np.exp(-t / 1.59) * np.cos(6.0 * t)
+                    + rng.normal(0.0, 0.078, 8), 0.0, 1.0)
+        rec = ExperimentRecord(kind="ramsey", sweep=t, mean=y, stderr=np.full(8, 0.078),
+                               n_realizations=1, spec_hash="x")
+        with pytest.raises(FitError, match="standard error"):
+            fit_decay(rec)
+
     def test_param_errors_scale_with_noise(self):
         quiet = fit_decay(synthetic_record(noise=0.002, stderr=0.002, seed=1))
         loud = fit_decay(synthetic_record(noise=0.02, stderr=0.02, seed=1))
@@ -170,6 +182,15 @@ def oracle_records():
 def fitted_params(fit):
     return np.array([fit.params[k] for k in
                      ("amplitude", "t_decay", "frequency", "phase", "offset")])
+
+
+def test_frequency_seed_within_a_bin_of_the_fit(oracle_records):
+    # rabi snaps its durations to whole steps, so the criterion-7 sweeps are not
+    # uniform to rounding; the seed still lands within one bin, 2*pi/span
+    for rec, model in oracle_records[:3]:
+        seed = _initial_frequency(rec.sweep, rec.mean)
+        fitted = fit_decay(rec, model=model).params["frequency"]
+        assert abs(seed - fitted) <= TWO_PI / (rec.sweep[-1] - rec.sweep[0])
 
 
 class TestSolverOracles:

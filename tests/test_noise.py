@@ -569,45 +569,6 @@ class TestEvaluatorMemory:
         assert peak < limit
 
 
-class TestCombLoopNest:
-    """``_comb_eval`` with a time block of 3, so that starts and offsets both
-    cross block boundaries in one call.
-
-    The shifted form must match the arbitrary-times form at the explicit
-    start-major times and a long-double direct sum at the exact times
-    ``starts[q] + times[r]``, within 1e-12 of the coefficient row's sum of
-    magnitudes.
-    """
-
-    OMEGA0 = TWO_PI * 50.0
-
-    @settings(max_examples=60, deadline=None)
-    @given(teeth=st.integers(1, 9), n_starts=st.integers(1, 11), m=st.integers(1, 11),
-           batch=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_shifted_matches_explicit_and_long_double(self, teeth, n_starts, m, batch, seed):
-        rng = np.random.default_rng(seed)
-        period = TWO_PI / self.OMEGA0
-        shape = (2, 3, teeth) if batch else (teeth,)
-        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        starts = np.sort(rng.uniform(0.0, 4.0 * period, n_starts))
-        times = rng.uniform(0.0, period, m)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(noise, "_TIME_BLOCK", 3)
-            shifted = noise._comb_eval(times, self.OMEGA0, np.ones(teeth), c, starts)
-            explicit = noise._comb_eval((starts[:, None] + times).ravel(), self.OMEGA0,
-                                        np.ones(teeth), c)
-        assert shifted.shape == explicit.shape == shape[:-1] + (n_starts * m,)
-        ld = np.longdouble
-        exact = (starts.astype(ld)[:, None] + times.astype(ld)).ravel()
-        theta = (ld(self.OMEGA0) * np.arange(1, teeth + 1))[:, None] * exact
-        # Re(c e^{i theta}) = Re(c) cos(theta) - Im(c) sin(theta), summed over teeth
-        ref = np.sum(c.real.astype(ld)[..., None] * np.cos(theta)
-                     - c.imag.astype(ld)[..., None] * np.sin(theta), axis=-2)
-        tol = 1e-12 * np.sum(np.abs(c), axis=-1, keepdims=True)
-        assert np.all(np.abs(shifted - explicit) <= tol)
-        assert np.all(np.abs(shifted - ref) <= tol)
-
-
 class TestRealizeAgainstLongDouble:
     """``realize`` against the long-double direct sum at the grid's exact times.
 
@@ -666,11 +627,27 @@ class TestRealizeAgainstLongDouble:
         per = {"periods": 4 * teeth + 1, "irrational": 500}.get(spacing, 2000)
         self.check(self.grid(spacing, per, n, teeth), teeth)
 
-    def test_record_longer_than_one_run_of_starts(self):
-        # starts are folded in runs of _TIME_BLOCK; this record ends two samples
-        # into a second run's second block, at 60,001 Hz
+    def test_offsets_past_one_table(self):
+        # past _TIME_BLOCK**2 samples a block holds more than _TIME_BLOCK offsets:
+        # here 256 blocks of 258, so the offsets span two tables, the second of
+        # two offsets, and the last block holds four samples, at 60,001 Hz
         block = noise._TIME_BLOCK
         self.check(self.grid("rate_off", 2000, block * block + block + 2, 3), teeth=3)
+
+    def test_long_block_shift_record_tail(self):
+        # 5e5 samples at 60,001 Hz, f0 = 4 Hz, J = 750: start phases at t ~ 8 s
+        # must be exact turns, or tooth j's phase errs by j ulp(omega0 t)
+        spec = white_dephasing(omega0=TWO_PI * 4.0, teeth=750, seed=2)
+        grid = TimeGrid(1.0 / 60_001.0, 500_000)
+        assert noise._fft_period(spec, grid) == (0, 0.0)
+        real = realize(spec, grid, 0)
+        tail = np.arange(grid.n - 800, grid.n)
+        times = np.longdouble(grid.dt) * tail
+        psi = draw_phases(spec, 0)
+        for out, amps, trig in ((real.beta, spec.tooth_amplitudes(), np.cos),
+                                (real.phi_n, spec.alpha * spec.envelope_table(), np.sin)):
+            ref = _longdouble_comb(spec.omega0, amps, psi, times, trig)
+            assert float(np.max(np.abs(out[tail] - ref))) <= 1e-12 * float(np.sum(np.abs(amps)))
 
     @settings(max_examples=40, deadline=None)
     @given(per=st.integers(3, 400), teeth=st.integers(1, 60), periods=st.integers(1, 6),
@@ -765,7 +742,8 @@ def test_short_record_of_a_long_period_keeps_block_shift():
 
 
 def test_period_past_float_range_keeps_block_shift():
-    # omega0*dt = 6e-320: 2*pi/(omega0*dt) overflows to inf
+    # omega0*dt = 6e-320: the period, about 1e320 samples, is past float range
+    # and is taken in ints
     spec = white_dephasing(omega0=6e-160, teeth=3)
     grid = TimeGrid(1e-160, 8)
     assert noise._fft_period(spec, grid) == (0, 0.0)

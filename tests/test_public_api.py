@@ -176,6 +176,23 @@ def test_every_optional_parameter_has_a_program_caller():
     assert sorted(set(TEST_ONLY_SETTINGS) - set(uncalled)) == []
 
 
+def test_every_private_default_is_set_in_src():
+    # a private helper's default that no src call overrides is a second form of
+    # that helper with no caller; calls inside the helper's own body do not count
+    src_calls = [(path, call) for path, call in program_calls() if path.parent == SRC]
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.startswith("__")):
+                continue
+            inside = range(fn.lineno, fn.end_lineno + 1)
+            unset += [f"{path.stem}.{fn.name}.{name}" for name, pos in _defaulted(fn)
+                      if not any(_passes(call, fn.name, name, pos) for call_path, call in src_calls
+                                 if not (call_path == path and call.lineno in inside))]
+    assert unset == []
+
+
 def test_one_csv_writer():
     # every table goes through grid.write_csv, so there is one text format
     users = [p.name for p in sorted(SRC.glob("*.py")) if "savetxt" in p.read_text()]
