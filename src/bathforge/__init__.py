@@ -7,7 +7,7 @@ amplitude-noise Hamiltonians, and verify everything against analytic
 filter-function predictions and spectral oracles.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .errors import (AmplitudeRangeWarning, BathforgeError, ConfigError, FitError,
                      NyquistError, ValidationError)
@@ -20,8 +20,7 @@ from .spectral import (PsdEstimate, SidebandComb, estimate_psd, fit_tooth_powerl
                        pm_sidebands, powerlaw_map_pm, to_dbc, tooth_weights)
 from .waveform import (ControlProgram, ContinuityReport, IQWaveform, Segment,
                        compose, continuity_report, quantize, to_iq)
-from .qubit import (ExperimentRecord, HamiltonianSamples, ket0, population_1,
-                    propagate, rabi, ramsey, rotate_z)
+from .qubit import ExperimentRecord, HamiltonianSamples, ket0, propagate, rabi, ramsey
 from .measurement import (REFERENCE_CALIBRATION, CountCalibration, ThetaPosterior,
                           bayes_update, population_from_theta, simple_normalize,
                           simulate_counts, uniform_prior)

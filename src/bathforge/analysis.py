@@ -244,13 +244,19 @@ class AlphaScanResult:
 
 def fit_rate_exponent(alphas: np.ndarray, t2: np.ndarray,
                       t2_err: np.ndarray) -> tuple[float, float]:
-    """Weighted log-log regression of the decay rate 1/T2 against alpha."""
-    alphas = np.asarray(alphas, dtype=float)
+    """Weighted log-log regression of the decay rate 1/T2 against alpha; every
+    alpha and T2 must be finite and > 0, every error finite and >= 0."""
+    alphas, t2, t2_err = (np.asarray(v, dtype=float) for v in (alphas, t2, t2_err))
+    for name, values in (("alphas", alphas), ("t2", t2)):
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValidationError(f"{name} must be finite and > 0, got {values}")
+    if not np.all(np.isfinite(t2_err) & (t2_err >= 0)):
+        raise ValidationError(f"t2_err must be finite and >= 0, got {t2_err}")
     if len(alphas) < 2 or np.ptp(alphas) == 0:
         raise ValidationError("need at least two distinct alpha values")
     x = np.log(alphas)
-    y = np.log(1.0 / np.asarray(t2, dtype=float))
-    sig = np.asarray(t2_err, dtype=float) / np.asarray(t2, dtype=float)
+    y = np.log(1.0 / t2)
+    sig = t2_err / t2
     sig = np.where(sig > 0, sig, np.max(sig, initial=1e-6) or 1e-6)
     w = 1.0 / sig**2
     A = np.vstack([x, np.ones_like(x)]).T

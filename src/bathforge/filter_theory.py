@@ -63,8 +63,8 @@ def chi_white_analytic(alpha: float, tau) -> np.ndarray | float:
 def fidelity_from_chi(chi) -> np.ndarray | float:
     """First-order averaged operation fidelity F_av = (1 + exp(-chi)) / 2."""
     chi_arr = np.asarray(chi, dtype=float)
-    if np.any(chi_arr < 0):
-        raise ValidationError("chi must be non-negative")
+    if not np.all(chi_arr >= 0):  # NaN fails the comparison too
+        raise ValidationError(f"chi must be >= 0, got {chi}")
     out = 0.5 * (1.0 + np.exp(-chi_arr))
     return float(out) if np.ndim(chi) == 0 else out
 

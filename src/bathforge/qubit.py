@@ -6,21 +6,22 @@ The interaction-picture Hamiltonian is
 
 with ``c_z = (Delta - beta_z)/2``: a static fringe detuning Delta plus the
 engineered detuning noise, which enters with a minus sign because it derives
-from phase modulation of the local oscillator.  ``propagate`` and the Ramsey
-pulses evolve through ``_evolve``, which writes the exact, unconditionally
-unitary 2x2 Pauli exponential of each piecewise-constant sample as a unit
-quaternion, multiplies each run of steps pairwise down to one unitary and
-applies that to the states once.  Each Ramsey draw block samples the noise
-of both pulses in one comb call and reduces the second pulse once for both
-analysis phases: the 90 degree pulse is Rz(pi/2) U_0 Rz(-pi/2), and a
-population readout cannot see the final Rz.  Free evolution under pure
-sigma_z terms is applied in closed form through differences of the
-accumulated phase phi_N (sigma_z terms at different times commute), so it
-carries no discretization error.  The Rabi drive commutes with itself too
-(sigma_x at every step), so each trajectory is one x rotation; its midpoint
-sum is a geometric series per tooth, one comb call for every mark.  At
-alpha = 0 every realization is the same trajectory, so Ramsey and Rabi
-simulate one row and report standard errors of exactly 0.
+from phase modulation of the local oscillator.  Every unitary is an SU(2)
+element held as a unit quaternion (w, x, y, z), U = w I - i (x sx + y sy + z sz).
+``_unitary`` writes the exact Pauli exponential of each piecewise-constant
+sample and multiplies the steps pairwise down to one quaternion, which
+``propagate`` applies to a state.  A Ramsey shot forms no state: it is one
+product U = U_2 Rz(theta) U_1 with P1 = x^2 + y^2.  sigma_z terms at different
+times commute, so free evolution is the exact rotation Rz(theta) by
+theta = Delta tau - [phi_N(t_pulse + tau) - phi_N(t_pulse)].  A noise-free
+pulse has a constant Hamiltonian and is one exact rotation; with pulse noise
+each draw block samples both pulse windows in one comb call.  The 90 degree
+analysis pulse is Rz(pi/2) U_2 Rz(-pi/2) and P1 cannot see the final Rz, so
+that phase is the same product at theta - pi/2.  The Rabi drive commutes
+with itself too (sigma_x at every step), so each trajectory is one x rotation;
+its midpoint sum is a geometric series per tooth, one comb call for every
+mark.  At alpha = 0 every realization is the same trajectory, so Ramsey and
+Rabi simulate one row and report standard errors of exactly 0.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ class HamiltonianSamples:
     """Piecewise-constant Hamiltonian coefficients, one entry per step.
 
     ``z_coeff`` multiplies sigma_z (rad/s), ``rabi`` is the drive amplitude
-    Omega (rad/s) and ``phase`` the drive phase phi_C (rad).  Arrays are
-    (m,) for a single trajectory or (batch, m) for an ensemble.
+    Omega (rad/s) and ``phase`` the drive phase phi_C (rad).  Each is a scalar
+    or an array whose last axis runs over the m steps, with any leading axes
+    over an ensemble; the three broadcast together, and all-scalar samples
+    are one step.
     """
 
     z_coeff: np.ndarray
@@ -76,55 +79,48 @@ class ExperimentRecord:
             raise ValidationError("standard errors must be >= 0")
 
 
-def ket0(batch: int | None = None) -> np.ndarray:
-    """|0> state, optionally replicated into a (batch, 2) block."""
-    s = np.array([1.0 + 0.0j, 0.0j])
-    return s if batch is None else np.tile(s, (batch, 1))
-
-
-def population_1(state: np.ndarray) -> np.ndarray:
-    """P(|1>) of a (..., 2) state array."""
-    return np.abs(state[..., 1]) ** 2
-
-
-def rotate_z(state: np.ndarray, angle) -> np.ndarray:
-    """Exact z rotation exp(-i angle sigma_z / 2) applied to (..., 2) states."""
-    phase = np.exp(-0.5j * np.asarray(angle))
-    state[..., 0] = state[..., 0] * phase
-    state[..., 1] = state[..., 1] * np.conj(phase)
-    return state
+def ket0() -> np.ndarray:
+    """|0> state."""
+    return np.array([1.0 + 0.0j, 0.0j])
 
 
 def propagate(state: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.ndarray:
     """Evolve a copy of ``state`` through every piecewise-constant sample.
 
-    Each sample contributes the exact unitary of its Hamiltonian, and the
-    product of those unitaries is applied to the state, so norm is preserved to
-    rounding regardless of step count.  Steps must satisfy Omega*dt <= 0.05 and
-    |2 z_coeff|*dt <= 0.05 so that sampling the time-dependent coefficients
-    once per step is accurate.
+    The product of the samples' exact step unitaries is applied to the state
+    once, so norm is preserved to rounding regardless of step count.  Steps
+    must satisfy Omega*dt <= 0.05 and |2 z_coeff|*dt <= 0.05 so that sampling
+    the time-dependent coefficients once per step is accurate.
     """
-    return _evolve(np.array(state, dtype=complex, copy=True), samples, dt)
+    _require_positive("dt", dt)
+    if np.max(np.abs(samples.rabi), initial=0.0) * dt > _STEP_LIMIT * (1 + 1e-9):
+        raise ValidationError(f"Omega*dt exceeds {_STEP_LIMIT} rad per step")
+    if np.max(np.abs(samples.z_coeff), initial=0.0) * 2.0 * dt > _STEP_LIMIT * (1 + 1e-9):
+        raise ValidationError(f"|2 z_coeff|*dt exceeds {_STEP_LIMIT} rad per step")
+    w, x, y, z = _unitary(samples, dt)
+    state = np.asarray(state, dtype=complex)
+    a, b = state[..., 0], state[..., 1]
+    return np.stack(((w - 1j * z) * a - (y + 1j * x) * b,
+                     (y - 1j * x) * a + (w + 1j * z) * b), axis=-1)
 
 
-def _evolve(states: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.ndarray:
-    """In-place core of :func:`propagate`, the only place a state evolves.
+def _unitary(samples: HamiltonianSamples, dt: float) -> np.ndarray:
+    """Product of the samples' step unitaries as a (4, ...) unit quaternion.
 
     Step k is exp(-i dt v_k.sigma/2) = w I - i (x sx + y sy + z sz) with
     w = cos(|v_k| dt/2) and (x, y, z) = sin(|v_k| dt/2) v_k/|v_k|.  Each run of
     ``_CHUNK`` steps is multiplied pairwise, later step on the left, down to
-    one quaternion, which is applied before the next run is built.
+    one quaternion, which is folded into a product that starts at the
+    identity.  The step is exact at any ``dt``; only :func:`propagate` needs
+    the per-step rotation limit.
     """
-    _require_positive("dt", dt)
     z = np.atleast_1d(np.asarray(samples.z_coeff, dtype=float))
     om = np.atleast_1d(np.asarray(samples.rabi, dtype=float))
     ph = np.atleast_1d(np.asarray(samples.phase, dtype=float))
-    if np.max(np.abs(om), initial=0.0) * dt > _STEP_LIMIT * (1 + 1e-9):
-        raise ValidationError(f"Omega*dt exceeds {_STEP_LIMIT} rad per step")
-    if np.max(np.abs(2.0 * z), initial=0.0) * dt > _STEP_LIMIT * (1 + 1e-9):
-        raise ValidationError(f"|2 z_coeff|*dt exceeds {_STEP_LIMIT} rad per step")
     # per-step rotation vector, computed once for the whole call
     vx, vy, vz = np.broadcast_arrays(om * np.cos(ph), om * np.sin(ph), 2.0 * z)
+    u = np.zeros((4,) + vx.shape[:-1])
+    u[0] = 1.0
     for start in range(0, vx.shape[-1], _CHUNK):
         block = slice(start, start + _CHUNK)
         v = np.stack((vx[..., block], vy[..., block], vz[..., block]))
@@ -137,14 +133,8 @@ def _evolve(states: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.nd
             even = q.shape[-1] // 2 * 2
             q = np.concatenate((_compose(q[..., 1:even:2], q[..., 0:even:2]),
                                 q[..., even:]), axis=-1)
-        w, qx, qy, qz = q[..., 0]
-        a = states[..., 0]
-        b = states[..., 1]
-        new_a = (w - 1j * qz) * a - (qy + 1j * qx) * b
-        new_b = (qy - 1j * qx) * a + (w + 1j * qz) * b
-        states[..., 0] = new_a
-        states[..., 1] = new_b
-    return states
+        u = _compose(q[..., 0], u)
+    return u
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -156,12 +146,6 @@ def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
                      w2 * x1 + w1 * x2 + (y2 * z1 - z2 * y1),
                      w2 * y1 + w1 * y2 + (z2 * x1 - x2 * z1),
                      w2 * z1 + w1 * z2 + (x2 * y1 - y2 * x1)))
-
-
-def _pulse_steps(duration: float, rabi: float, z_bound: float) -> int:
-    """Step count keeping both rotation rates below the per-step limit."""
-    need = max(rabi, z_bound) * duration / _STEP_LIMIT
-    return max(4, int(math.ceil(need)))
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -187,15 +171,19 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
     pulses as well.  Populations come from noiseless projection of the exact
     final state; the per-point scatter is purely the noise ensemble's.
 
+    Each shot is one quaternion product U = U_2 Rz(theta) U_1 with
+    theta = Delta tau - [phi_N(t_pulse + tau) - phi_N(t_pulse)], read as
+    P1 = x^2 + y^2.  The 90 degree analysis phase is the same product at
+    theta - pi/2; with the 0 degree phase it gives the record's pointwise
+    visibility.  A noisy pulse is stepped at its midpoints within the 0.05
+    rad step limit, a noise-free one is one exact rotation, and
+    ``meta["pulse_steps"]`` counts the steps per pulse.
+
     Each (tau point, ensemble member) pair uses an independent phase draw,
     like repeated shots on hardware with a free-running noise source.  At
     alpha = 0 every draw gives the same trajectory, so that one trajectory
     is simulated once and its standard errors are 0; ``meta["freeze_phases"]``
     records whether it was (``spec.alpha == 0``).
-
-    Besides the fringe populations the record carries a pointwise visibility,
-    the ensemble average of the 0 and 90 degree fringe quadratures, both read
-    through one second-pulse product on the state and its Rz(-pi/2) copy.
     """
     if spec.quadrature is not Quadrature.DEPHASING:
         raise ValidationError("ramsey requires a dephasing noise spec")
@@ -208,41 +196,45 @@ def ramsey(spec: NoiseSpec, *, fringe_detuning: float, pulse_rabi: float,
         warnings.warn("fringe detuning of 0 makes the decay fit degenerate",
                       UserWarning, stacklevel=2)
     t_pulse = 0.5 * math.pi / pulse_rabi
-    # deterministic bound on |beta_z|
-    z_bound = float(np.sum(np.abs(spec.tooth_amplitudes()))) + abs(fringe_detuning)
-    n_steps = _pulse_steps(t_pulse, pulse_rabi, z_bound if noise_during_pulses
-                           else abs(fringe_detuning))
-    dt = t_pulse / n_steps
-    mids = dt * (np.arange(n_steps) + 0.5)
-    # n_steps entries, so _evolve takes n_steps steps even without pulse noise
-    pulse = HamiltonianSamples(z_coeff=np.full(n_steps, 0.5 * fringe_detuning),
-                               rabi=pulse_rabi, phase=0.0)
-    first = second = pulse
+    pulse = HamiltonianSamples(z_coeff=0.5 * fringe_detuning, rabi=pulse_rabi, phase=0.0)
+    if noise_during_pulses:
+        # |2 c_z| <= |Delta| + sum_j |a_j| bounds the z rotation rate
+        z_bound = float(np.sum(np.abs(spec.tooth_amplitudes()))) + abs(fringe_detuning)
+        n_steps = max(4, math.ceil(max(pulse_rabi, z_bound) * t_pulse / _STEP_LIMIT))
+        dt = t_pulse / n_steps
+        mids = dt * (np.arange(n_steps) + 0.5)
+    else:
+        # a constant Hamiltonian: each pulse is one exact rotation
+        n_steps = 1
+        first = second = _unitary(pulse, t_pulse)
     n = n_realizations
     mean, se, vis, vis_se = np.empty((4, len(taus)))
     # at alpha = 0 every realization is the same trajectory
     frozen = spec.alpha == 0
     for it, tau in enumerate(taus):
         if it == 0 or not frozen:
-            # the two comb evaluations below share this block's phasors; the
+            # the comb evaluations below share this block's phasors; the
             # previous block is released before this one is drawn
             z = None
             z = phasors(draw_phase_matrix(spec, [0] if frozen else range(it * n, (it + 1) * n)))
         if noise_during_pulses:
-            # one comb call samples the noise of both pulse windows
+            # one comb call samples the noise of both pulse windows; each
+            # pulse is reduced in its own call, so one step table is live
             beta = detuning_waveform_at(spec, z,
                                         np.concatenate((mids, (t_pulse + tau) + mids)))
-            first, second = (replace(pulse, z_coeff=0.5 * (fringe_detuning - b))
+            first, second = (_unitary(replace(pulse, z_coeff=0.5 * (fringe_detuning - b)), dt)
                              for b in np.split(beta, [n_steps], axis=-1))
-        states = _evolve(ket0(z.shape[0]), first, dt)
         # free evolution is exact: integral of beta_z is a phi_N difference
         ends = phase_waveform_at(spec, z, np.array([t_pulse, t_pulse + tau]))
-        dphi = ends[..., 1] - ends[..., 0]
-        rotate_z(states, fringe_detuning * tau - dphi)
-        # U_90 = Rz(pi/2) U_0 Rz(-pi/2) and P1 ignores the final Rz; Rz(-pi/2) is
-        # diag(1, -i) up to a global phase, and the product with -i is exact
-        both = np.stack((states, states * [1.0, -1j]))
-        p_a, p_b = population_1(_evolve(both, second, dt))
+        theta = fringe_detuning * tau - (ends[..., 1] - ends[..., 0])
+        # Rz(a) = (cos(a/2), 0, 0, sin(a/2)); the 90 degree phase takes
+        # sqrt(2) Rz(theta - pi/2) = (c + s, 0, 0, s - c), exact in pi/2, and
+        # halves its P1, which is quadratic in the Rz factor
+        c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+        zero = np.zeros((2,) + c.shape)
+        rz = np.stack((np.stack((c, c + s)), zero, zero, np.stack((s, s - c))))
+        _, x, y, _ = _compose(second, _compose(rz, first))
+        p_a, p_b = (x * x + y * y) * [[1.0], [0.5]]
         # statistics over the rows simulated: one row when frozen
         mean[it], se[it] = _mean_stderr(p_a)
         u = np.stack([2 * p_a - 1, 2 * p_b - 1], axis=1)

@@ -233,6 +233,25 @@ class TestRateExponent:
         with pytest.raises(ValidationError):
             fit_rate_exponent(np.array([2.0, 2.0, 2.0]), np.ones(3), np.ones(3))
 
+    @pytest.mark.parametrize("name, alphas, t2, t2_err", [
+        ("t2", [1.0, 2.0, 3.0], [-1.0, 1.0, 0.5], [0.1, 0.1, 0.1]),
+        ("t2", [1.0, 2.0, 3.0], [1.0, math.nan, 0.5], [0.1, 0.1, 0.1]),
+        ("t2", [1.0, 2.0, 3.0], [1.0, math.inf, 0.5], [0.1, 0.1, 0.1]),
+        ("alphas", [0.0, 2.0, 3.0], [1.0, 0.8, 0.5], [0.1, 0.1, 0.1]),
+        ("alphas", [1.0, -2.0, 3.0], [1.0, 0.8, 0.5], [0.1, 0.1, 0.1]),
+        ("alphas", [1.0, math.nan, 3.0], [1.0, 0.8, 0.5], [0.1, 0.1, 0.1]),
+        ("t2_err", [1.0, 2.0, 3.0], [1.0, 0.8, 0.5], [0.1, math.nan, 0.1]),
+        ("t2_err", [1.0, 2.0, 3.0], [1.0, 0.8, 0.5], [0.1, -0.1, 0.1]),
+    ])
+    def test_bad_inputs_rejected_by_name(self, name, alphas, t2, t2_err):
+        with pytest.raises(ValidationError, match=rf"^{name} must"):
+            fit_rate_exponent(alphas, t2, t2_err)
+
+    def test_zero_errors_accepted(self):
+        alphas = np.array([1.0, 1.5, 2.2, 3.0])
+        exp, _ = fit_rate_exponent(alphas, 0.05 / alphas**2, np.zeros(4))
+        assert exp == pytest.approx(2.0, abs=1e-12)
+
     def test_scale_invariance(self):
         alphas = np.array([1.0, 1.4, 2.0, 2.9])
         t2 = 0.05 / alphas**1.7

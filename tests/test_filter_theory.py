@@ -137,6 +137,11 @@ class TestFidelity:
         with pytest.raises(ValidationError):
             fidelity_from_chi(-0.1)
 
+    @pytest.mark.parametrize("chi", [math.nan, [0.5, math.nan]])
+    def test_rejects_nan(self, chi):
+        with pytest.raises(ValidationError, match="chi"):
+            fidelity_from_chi(chi)
+
 
 class TestPredictedT2:
     def test_root_is_unity_crossing(self):

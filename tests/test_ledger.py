@@ -55,16 +55,16 @@ DIGESTS = {
         "chi.manifest": "c0acb4772b99269a46fbcce0aca97ff4618b54756e5a8d1f2aff95c4b11085d0",
     },
     "scan-alpha": {
-        "scan.csv": "11345368d226583f9b714eda03b7797f5e3c6564886afff0a4f723842e0b425d",
-        "scan.manifest": "442233c81855158eab05a94bee76bc64dcc6c6ed8750f763e2036dc3f2c020e6",
+        "scan.csv": "e0f4cd780da42e6e2ecad9199867767d599efdec07a2485c0b7cf73327351d12",
+        "scan.manifest": "210f13bc5108e8291c790995c1c76e4dd987b253bde35b2621ac87a815f61fbb",
     },
     "simulate_rabi": {
         "rabi.csv": "5a729d9a58b3dce76c8c3909f122cee5d00da69b72cdc3baadf53fdadc317418",
         "rabi.manifest": "6632f4bcf965392c976902ac31f73897e6197f8ec8e75977910cc12632cc585e",
     },
     "simulate_ramsey": {
-        "ramsey.csv": "b6e74ca1c759f8523215d34d0b7c6e2effa2d0cc3b62df0921385717ec03eeca",
-        "ramsey.manifest": "af4f19a05931dd22a985ca8899a8d0a0b0fcd3c36f7c82f4d48be932997f7843",
+        "ramsey.csv": "f003da58faccd88c2942a82f7f9d7d0541e60d371feafa0ef6debcde46937aa1",
+        "ramsey.manifest": "f0ff2c2184d6ba4443ca49f96770c3b522061420bcfc5b7f1eeb8bfb785286ed",
     },
     "synth": {
         "noise.manifest": "b87d9a14785af358d19bd2d02d6840791236d291b102e24345533f0dcd027bbc",

@@ -1,8 +1,8 @@
 """Guard against public names that only their own tests call.
 
-``PYTHONPATH=src python tests/test_public_api.py`` prints the two size counts
-CHANGES.md quotes: the lines under ``src/bathforge`` and the public settable
-values.
+``PYTHONPATH=src python tests/test_public_api.py`` prints the three size counts
+CHANGES.md quotes: the lines under ``src/bathforge``, the public settable
+values and the names ``bathforge`` exports.
 """
 
 import ast
@@ -233,3 +233,4 @@ if __name__ == "__main__":
     lines = sum(len(p.read_text().splitlines()) for p in SRC.glob("*.py"))
     print(f"src/bathforge lines: {lines}")
     print(f"public settable values: {settable_values()}")
+    print(f"exported names: {len(exported_names())}")

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import j0
 
 from bathforge import (HamiltonianSamples, NoiseSpec, NyquistError, Quadrature,
-                       ValidationError,
-                       chi_fid_comb, ket0, population_1, propagate, rabi, ramsey,
-                       rotate_z)
+                       ValidationError, chi_fid_comb, ket0, propagate, rabi, ramsey)
 from bathforge.noise import (amplitude_waveform_at, detuning_waveform_at,
                              draw_phase_matrix, draw_phases, phase_waveform_at, phasors)
 from bathforge import qubit
@@ -51,6 +49,22 @@ def su2_step(state, vx, vy, vz, dt):
     state[..., 0] = new_a
     state[..., 1] = new_b
     return state
+
+
+def population_1(state):
+    """P(|1>) of a (..., 2) state array."""
+    return np.abs(state[..., 1]) ** 2
+
+
+def rotate_z(state, angle):
+    """exp(-i angle sigma_z / 2) applied to (..., 2) states, as a new array."""
+    phase = np.exp(-0.5j * np.asarray(angle))
+    return np.stack((state[..., 0] * phase, state[..., 1] * np.conj(phase)), axis=-1)
+
+
+def ket0_rows(n):
+    """|0> replicated into an (n, 2) block."""
+    return np.tile(ket0(), (n, 1))
 
 
 def loop_propagate(state, samples, dt):
@@ -151,17 +165,21 @@ class TestTreeProduct:
     def test_pair_products_per_chunk(self, monkeypatch):
         # a tree takes about log2(_CHUNK) vectorised products per chunk; a
         # per-step loop would take one per step
-        sizes = []
+        shapes = []
         real = qubit._compose
 
         def counting(later, earlier):
-            sizes.append(later.shape[-1])
+            shapes.append(later.shape)
             return real(later, earlier)
 
         monkeypatch.setattr(qubit, "_compose", counting)
         m = 10_000
         propagate(ket0(), random_samples(np.random.default_rng(9), m, 0.01), 0.01)
         chunks = math.ceil(m / self.CHUNK)
+        # tree products carry a step axis; the fold of each chunk's quaternion
+        # into the running product does not
+        sizes = [shape[-1] for shape in shapes if len(shape) == 2]
+        assert len(shapes) - len(sizes) == chunks
         assert len(sizes) <= chunks * math.ceil(math.log2(self.CHUNK))
         # every product merges one pair, down to one quaternion per chunk
         assert sum(sizes) == m - chunks
@@ -204,7 +222,7 @@ class TestPropagate:
 
     def test_exact_z_rotation_matches_stepping(self):
         state = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        direct = rotate_z(state.copy().astype(complex), 0.7)
+        direct = rotate_z(state, 0.7)
         stepped = propagate(state, HamiltonianSamples(
             z_coeff=np.full(100, 0.35 / 100 / 0.001), rabi=np.zeros(100),
             phase=np.zeros(100)), dt=0.001)
@@ -228,7 +246,7 @@ class TestPropagate:
     def test_batch_states(self):
         m = 40
         omega = 0.05 / 0.01
-        states = ket0(3)
+        states = ket0_rows(3)
         out = propagate(states, HamiltonianSamples(
             z_coeff=np.zeros(m), rabi=np.full(m, omega), phase=np.zeros(m)), dt=0.01)
         assert out.shape == (3, 2)
@@ -252,6 +270,28 @@ class TestRamsey:
                      pulse_rabi=TWO_PI * 1e4, taus=taus, n_realizations=3)
         assert np.all(rec.visibility > 0.999)
         assert np.all(rec.stderr < 1e-12)
+
+    @pytest.mark.parametrize("delta_hz, rabi_hz", [(250.0, 2e4), (3000.0, 1e4),
+                                                   (-700.0, 5e3), (40000.0, 1e4)])
+    def test_clean_pulses_match_rotation_closed_form(self, delta_hz, rabi_hz):
+        # at alpha = 0 a noise-free shot is P_phi Rz(delta tau) P_0, where P_phi
+        # is the pulse's exact rotation about (Omega cos phi, Omega sin phi,
+        # delta); both quadratures hold to 1e-15 in P1, so the visibility,
+        # built from u = 2 P1 - 1, holds to 2e-15
+        delta, omega = TWO_PI * delta_hz, TWO_PI * rabi_hz
+        taus = np.linspace(0.0, 4e-3, 17)
+        rec = ramsey(deph_spec(0.0, omega0_hz=50.0, teeth=20), fringe_detuning=delta,
+                     pulse_rabi=omega, taus=taus, n_realizations=1,
+                     noise_during_pulses=False)
+        assert rec.meta["pulse_steps"] == 1
+        norm = math.hypot(omega, delta)
+        angle = norm * 0.5 * math.pi / omega
+        p_x = rotation(angle, omega / norm, 0.0, delta / norm)
+        p_y = rotation(angle, 0.0, omega / norm, delta / norm)
+        p = np.array([[abs((second @ rotation(delta * tau, 0, 0, 1) @ p_x)[1, 0]) ** 2
+                       for second in (p_x, p_y)] for tau in taus])
+        assert np.max(np.abs(rec.mean - p[:, 0])) <= 1e-15
+        assert np.max(np.abs(rec.visibility - np.hypot(*(2 * p.T - 1)))) <= 2e-15
 
     def test_zero_alpha_fringe_pattern(self):
         spec = deph_spec(0.0)
@@ -391,7 +431,7 @@ class TestAnalysisPhase:
         z, om = (np.array(col) for col in zip(*steps))
         state = np.array([math.cos(0.5 * theta), np.exp(1j * phi) * math.sin(0.5 * theta)])
         y = propagate(state, HamiltonianSamples(z_coeff=z, rabi=om, phase=0.5 * math.pi), 0.01)
-        x = propagate(rotate_z(state.astype(complex), -0.5 * math.pi),
+        x = propagate(rotate_z(state, -0.5 * math.pi),
                       HamiltonianSamples(z_coeff=z, rabi=om, phase=0.0), 0.01)
         assert abs(population_1(y) - population_1(x)) <= 1e-14
 
@@ -419,7 +459,7 @@ class TestAnalysisPhase:
                 state = loop_propagate(ket0(), pulse(
                     detuning_waveform_at(spec, psi, mids), 0.0), dt)
                 ends = phase_waveform_at(spec, psi, np.array([t_pulse, t_pulse + tau]))
-                rotate_z(state, delta * tau - (ends[1] - ends[0]))
+                state = rotate_z(state, delta * tau - (ends[1] - ends[0]))
                 beta = detuning_waveform_at(spec, psi, (t_pulse + tau) + mids)
                 p[row] = [population_1(loop_propagate(state, pulse(beta, phase), dt))
                           for phase in (0.0, 0.5 * math.pi)]
@@ -592,7 +632,7 @@ class TestRabi:
         mids = dt * (np.arange(rec.meta["n_steps"]) + 0.5)
         drive = omega * (1.0 + amplitude_waveform_at(
             spec, phasors(draw_phase_matrix(spec, range(n))), mids))
-        states = ket0(n)
+        states = ket0_rows(n)
         p1 = np.empty((n, len(rec.sweep)))
         done = 0
         for k, mark in enumerate(np.round(rec.sweep / dt).astype(int)):
