@@ -60,24 +60,19 @@ digits); beta and phi_N of a dephasing spec are two rows of one result either wa
 
 Phase stream.  Row ``(seed, i)`` of every draw is numpy's stable stream
 (NEP 19): ``default_rng(SeedSequence(seed, spawn_key=(i,))).uniform(0, 2*pi, J)``,
-bit for bit, for seeds and indices in [0, 2**64 - 1].  :func:`draw_phase_matrix`
-computes it without a SeedSequence or Generator per row:
-
-1. Pool: the seed's two little-endian 32-bit words, zero-padded to 4, are
-   hashed into a 4-word pool and cross-mixed, once per seed; then the
-   index's low word, and its high word when nonzero, are mixed into every
-   pool word.  This is SeedSequence's uint32 hash, run on all rows at once.
-2. State: ``generate_state(4, uint64)`` gives ``w0..w3``; with
-   ``inc = (w2 << 64 | w3) << 1 | 1`` the PCG64 state is
-   ``((inc + (w0 << 64 | w1)) * M + inc) mod 2**128``, as PCG64 seeds itself.
-3. Phases: ``psi_j = (raw_j >> 11) * (2*pi * 2**-53)`` for the first J raw
-   64-bit outputs of that PCG64, which is exactly ``uniform(0, 2*pi)``.
+bit for bit, for seeds and indices in [0, 2**64 - 1].  numpy computes every
+step of it but one: ``SeedSequence(seed).pool`` is the seed's pool, PCG64
+seeds itself from any seed sequence's ``generate_state(4, uint64)`` words, and
+``Generator.random`` writes the row, which times 2*pi is ``uniform(0, 2*pi)``.
+:func:`draw_phase_matrix` keeps the step between, for all rows at once: the
+index's low word, and its high word when nonzero, are mixed into every word of
+the seed's pool, and the row's state words are hashed out of the result, by
+SeedSequence's uint32 hash.  So a block builds one SeedSequence, not one per row.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import math
 import warnings
@@ -90,14 +85,11 @@ from .errors import AmplitudeRangeWarning, NyquistError, ValidationError, requir
 from .grid import TimeGrid, write_csv
 
 _MAX_U64 = 2**64 - 1
-# numpy SeedSequence's hash constants (pool of 4 uint32 words) and PCG64's multiplier
+# numpy SeedSequence's hash constants (pool of 4 uint32 words)
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
-_UNIT_PHASE = 2.0 * math.pi * 2.0**-53
 # times per harmonic table in _comb_eval: (750, 256) complex is 3 MB
 _TIME_BLOCK = 256
 # 2*pi * 10**39 to the nearest integer (2*pi to 40 digits): a grid's step in turns,
@@ -237,8 +229,8 @@ def draw_phases(spec: NoiseSpec, realization_index: int) -> np.ndarray:
 def draw_phase_matrix(spec: NoiseSpec, indices: Sequence[int]) -> np.ndarray:
     """Stack of phase vectors, shape (len(indices), J), one row per index.
 
-    Each row is the stream defined in the module docstring.  One pass seeds
-    every row; one PCG64 is then set to each row's state in turn.
+    Each row is the stream defined in the module docstring.  One pass hashes
+    out every row's state words; a PCG64 seeded from them writes the row.
     """
     indices = list(indices)
     # plain ints in range need no per-index check; anything else gets one, for its message
@@ -246,18 +238,23 @@ def draw_phase_matrix(spec: NoiseSpec, indices: Sequence[int]) -> np.ndarray:
                         and 0 <= min(indices) and max(indices) <= _MAX_U64):
         for i in indices:
             require_int("realization_index", i, 0, _MAX_U64)
-    raw = np.empty((len(indices), spec.teeth), dtype=np.uint64)
-    bitgen = np.random.PCG64(0)
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for row, (w0, w1, w2, w3) in zip(raw, _spawn_states(spec.seed, indices).tolist()):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state["state"] = {"state": ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128,
-                          "inc": inc}
-        bitgen.state = state
-        row[:] = bitgen.random_raw(spec.teeth)
-    raw >>= np.uint64(11)
-    # in place: each float overwrites the word it is computed from
-    return np.multiply(raw, _UNIT_PHASE, out=raw.view(float))
+    # registered here rather than at import, so importing bathforge loads no numpy.random
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    psi = np.empty((len(indices), spec.teeth))
+    for row, words in zip(psi, _spawn_states(spec.seed, indices)):
+        np.random.Generator(np.random.PCG64(_StateWords(words))).random(out=row)
+    psi *= 2.0 * math.pi
+    return psi
+
+
+class _StateWords:
+    """A row's ``generate_state(4, uint64)`` words, as the seed sequence PCG64 reads."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype):
+        return self.words
 
 
 def _hasher(const: int, mult: int):
@@ -277,30 +274,15 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-@functools.lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> tuple:
-    """SeedSequence's pool once the seed's words are hashed in and cross-mixed, and
-    the hash constant it has reached: the part of every row's state that the seed
-    alone fixes, so it is computed once per seed."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    with np.errstate(over="ignore"):
-        pool = [hashmix(np.full(1, w, np.uint32)) for w in (seed & 0xFFFFFFFF, seed >> 32, 0, 0)]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    return tuple(np.concatenate(pool)), hashmix.const
-
-
 def _spawn_states(seed: int, indices: list) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64)`` per index, (n, 4)."""
     index = np.array(indices, dtype=np.uint64)
     lo = (index & 0xFFFFFFFF).astype(np.uint32)
     hi = (index >> 32).astype(np.uint32)
-    pool, const = _seed_pool(seed)
-    hashmix = _hasher(const, _MULT_A)
+    # the seed's pool took 16 hashes (4 words in, 12 cross-mixes): the index's start there
+    hashmix = _hasher(_INIT_A * _MULT_A**16 & 0xFFFFFFFF, _MULT_A)
     with np.errstate(over="ignore"):
-        pool = [_mix(p, hashmix(lo)) for p in pool]
+        pool = [_mix(p, hashmix(lo)) for p in np.random.SeedSequence(seed).pool]
         pool = [np.where(hi > 0, _mix(p, hashmix(hi)), p) for p in pool]
         hashed = _hasher(_INIT_B, _MULT_B)
         words = np.stack([hashed(pool[k % _POOL]) for k in range(2 * _POOL)], axis=-1)

@@ -73,10 +73,11 @@ class ExperimentRecord:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if np.any(self.mean < -1e-9) or np.any(self.mean > 1 + 1e-9):
-            raise ValidationError("populations must lie in [0, 1]")
-        if np.any(self.stderr < 0):
-            raise ValidationError("standard errors must be >= 0")
+        # written so that NaN fails them
+        if not np.all((self.mean >= -1e-9) & (self.mean <= 1 + 1e-9)):
+            raise ValidationError("mean: populations must lie in [0, 1]")
+        if not np.all(self.stderr >= 0):
+            raise ValidationError("stderr: standard errors must be >= 0")
 
 
 def ket0() -> np.ndarray:
@@ -90,13 +91,18 @@ def propagate(state: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.n
     The product of the samples' exact step unitaries is applied to the state
     once, so norm is preserved to rounding regardless of step count.  Steps
     must satisfy Omega*dt <= 0.05 and |2 z_coeff|*dt <= 0.05 so that sampling
-    the time-dependent coefficients once per step is accurate.
+    the time-dependent coefficients once per step is accurate, and every
+    coefficient, the phases included, must be finite.
     """
     _require_positive("dt", dt)
-    if np.max(np.abs(samples.rabi), initial=0.0) * dt > _STEP_LIMIT * (1 + 1e-9):
-        raise ValidationError(f"Omega*dt exceeds {_STEP_LIMIT} rad per step")
-    if np.max(np.abs(samples.z_coeff), initial=0.0) * 2.0 * dt > _STEP_LIMIT * (1 + 1e-9):
-        raise ValidationError(f"|2 z_coeff|*dt exceeds {_STEP_LIMIT} rad per step")
+    # written so that NaN fails them
+    if not np.max(np.abs(samples.rabi), initial=0.0) * dt <= _STEP_LIMIT * (1 + 1e-9):
+        raise ValidationError(f"rabi: Omega*dt must be finite and <= {_STEP_LIMIT} rad per step")
+    if not np.max(np.abs(samples.z_coeff), initial=0.0) * 2.0 * dt <= _STEP_LIMIT * (1 + 1e-9):
+        raise ValidationError(
+            f"z_coeff: |2 z_coeff|*dt must be finite and <= {_STEP_LIMIT} rad per step")
+    if not np.all(np.isfinite(samples.phase)):
+        raise ValidationError("phase: drive phases must be finite")
     w, x, y, z = _unitary(samples, dt)
     state = np.asarray(state, dtype=complex)
     a, b = state[..., 0], state[..., 1]

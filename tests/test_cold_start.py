@@ -1,5 +1,6 @@
 """Importing bathforge, running every CLI command, fitting a decay and finding
 a T2 root load no scipy; only the PM sideband model imports it, for ``jv``.
+Importing bathforge loads no ``numpy.random`` either: the first draw does.
 
 Each case runs in a fresh interpreter, so modules imported by other tests in
 this process do not count; the child prints the scipy modules it holds after
@@ -26,6 +27,8 @@ CHILD = textwrap.dedent("""
     stages = {}
     import bathforge, bathforge.cli
     stages["import"] = scipy_loaded()
+    stages["import_numpy_random"] = sorted(m for m in sys.modules
+                                           if m.startswith("numpy.random"))
 
     from bathforge.cli import main
     with open("white.cfg", "w") as f:
@@ -79,6 +82,12 @@ def stages(tmp_path_factory):
 
 def test_import_loads_no_scipy(stages):
     assert stages["import"] == []
+
+
+def test_import_loads_no_numpy_random(stages):
+    # numpy.random takes about 5 ms to import; the phase draw loads it, and
+    # registers its seed-word class with it, on first use
+    assert stages["import_numpy_random"] == []
 
 
 def test_cli_commands_without_fits_load_no_scipy(stages):

@@ -232,26 +232,48 @@ class TestPhaseStream:
             assert np.array_equal(bits(row), bits(numpy_stream(seed, i, teeth)))
 
     def test_interleaved_seeds_keep_their_own_pool(self):
-        # the seed's part of SeedSequence's pool is computed once per seed; draws
-        # that alternate between two seeds (one past 32 bits) must not mix them
-        noise._seed_pool.cache_clear()
+        # draws that alternate between two seeds (one past 32 bits) must not mix
+        # their pools
         specs = [white_dephasing(teeth=9, seed=seed) for seed in (11, 2**40 + 3)]
         for i in (0, 7, 2**32 + 5):
             for spec in specs + specs[::-1]:
                 want = numpy_stream(spec.seed, i, spec.teeth)
                 assert np.array_equal(bits(draw_phases(spec, i)), bits(want))
-        assert noise._seed_pool.cache_info().misses == 2
 
-    def test_no_seed_sequence_or_generator_per_row(self, monkeypatch):
+    def test_one_seed_sequence_per_call(self, monkeypatch):
+        # the seed's pool comes from one SeedSequence per call and every row's
+        # state words are hashed out of it: no row builds a SeedSequence, and
+        # nothing goes through default_rng
         spec = white_dephasing(teeth=16, seed=5)
-        want = draw_phase_matrix(spec, range(500))
+        want = np.stack([numpy_stream(spec.seed, i, spec.teeth) for i in range(500)])
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a SeedSequence or Generator was built")
+            raise AssertionError("default_rng was called")
 
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
         monkeypatch.setattr(np.random, "default_rng", refuse)
-        assert np.array_equal(draw_phase_matrix(spec, range(500)), want)
+        assert np.array_equal(bits(draw_phase_matrix(spec, range(500))), bits(want))
+        assert built == [(5,)]
+
+    def test_block_peaks_at_its_output(self):
+        # each row is written in place and the block scaled in place, so a
+        # (500, 750) draw peaks within 10 % of its own 3.0 MB
+        spec = white_dephasing(teeth=750, seed=3)
+        draw_phase_matrix(spec, range(2))  # numpy.random's imports stay outside the trace
+        tracemalloc.start()
+        try:
+            psi = draw_phase_matrix(spec, range(500))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.nbytes == 3_000_000
+        assert peak <= 1.1 * psi.nbytes
 
     def test_empty_block(self):
         assert draw_phase_matrix(white_dephasing(teeth=7), []).shape == (0, 7)

@@ -92,6 +92,26 @@ def test_every_private_function_has_a_caller_in_src():
     assert orphans == []
 
 
+def test_every_private_constant_is_read_in_src():
+    # a module-level _CONSTANT that no src code reads outlived the algorithm it
+    # served; its own assignment is a store, not a read
+    reads = set()
+    constants = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)
+                  or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))}
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            constants += [f"{path.stem}.{n.id}" for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name) and n.id.startswith("_")
+                          and not n.id.startswith("__")]
+    assert constants
+    assert [c for c in constants if c.split(".")[1] not in reads] == []
+
+
 # Defaulted parameters kept with no caller in the program, each with the
 # test that sets it.
 TEST_ONLY_SETTINGS = {

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0
 
-from bathforge import (HamiltonianSamples, NoiseSpec, NyquistError, Quadrature,
-                       ValidationError, chi_fid_comb, ket0, propagate, rabi, ramsey)
+from bathforge import (ExperimentRecord, HamiltonianSamples, NoiseSpec, NyquistError,
+                       Quadrature, ValidationError, chi_fid_comb, ket0, propagate, rabi,
+                       ramsey)
 from bathforge.noise import (amplitude_waveform_at, detuning_waveform_at,
                              draw_phase_matrix, draw_phases, phase_waveform_at, phasors)
 from bathforge import qubit
@@ -235,6 +236,17 @@ class TestPropagate:
         with pytest.raises(ValidationError):
             propagate(ket0(), HamiltonianSamples(
                 z_coeff=np.full(2, 10.0), rabi=np.zeros(2), phase=np.zeros(2)), dt=0.1)
+
+    @pytest.mark.parametrize("name", ["z_coeff", "rabi", "phase"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, name, bad):
+        # NaN fails no `>` comparison: a limit checked as `x > limit` lets it
+        # through to a NaN state
+        values = {"z_coeff": [0.0, 0.0], "rabi": [0.0, 1.0], "phase": [0.0, 0.0]}
+        values[name] = [bad, 0.0]
+        samples = HamiltonianSamples(**{k: np.array(v) for k, v in values.items()})
+        with pytest.raises(ValidationError, match=name):
+            propagate(ket0(), samples, dt=0.01)
 
     @pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan, math.inf])
     def test_bad_dt_rejected(self, dt):
@@ -762,3 +774,19 @@ class TestRecordExport:
         lines = path.read_text().splitlines()
         assert lines[1] == "sweep,mean,stderr,visibility,visibility_err"
         assert len(lines) == 4
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("name, values", [("mean", [0.5, math.nan]),
+                                              ("mean", [0.5, 1.5]),
+                                              ("mean", [-0.1, 0.5]),
+                                              ("stderr", [0.1, math.nan]),
+                                              ("stderr", [0.1, -1e-3])])
+    def test_bad_values_rejected(self, name, values):
+        # NaN fails no `<` or `>` comparison, so each check is written as the
+        # range the values must lie in
+        fields = {"mean": np.full(2, 0.5), "stderr": np.full(2, 0.01)}
+        fields[name] = np.array(values)
+        with pytest.raises(ValidationError, match=name):
+            ExperimentRecord(kind="ramsey", sweep=np.array([1e-3, 2e-3]),
+                             n_realizations=2, spec_hash="x", **fields)
