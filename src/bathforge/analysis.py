@@ -64,8 +64,8 @@ def _jacobian(model: str, t: np.ndarray, p: np.ndarray) -> np.ndarray:
     k = 2.0 if model == "gaussian" else 1.0
     env = _envelope(model, t, T)
     ec, es = env * np.cos(f * t + ph), env * np.sin(f * t + ph)
-    return np.column_stack([ec, a * ec * k * (t / T) ** k / T, -a * t * es, -a * es,
-                            np.ones_like(t)])
+    return np.stack([ec, a * ec * k * (t / T) ** k / T, -a * t * es, -a * es,
+                     np.ones_like(t)], axis=1)
 
 
 def _initial_frequency(t: np.ndarray, y: np.ndarray) -> float:
@@ -119,8 +119,8 @@ def least_squares(fun, x0, lower) -> _Solution:
     cost, nfev, lam, shortest = 0.5 * float(r @ r), 1, 0.0, math.inf
     for _ in range(_MAX_STEPS):
         damping = np.diag(np.sqrt(lam) * np.linalg.norm(jac, axis=0))
-        dx = np.linalg.lstsq(np.vstack([jac, damping]), np.r_[-r, np.zeros(len(x))],
-                             rcond=None)[0]
+        dx = np.linalg.lstsq(np.concatenate((jac, damping)),
+                             np.concatenate((-r, np.zeros(len(x)))), rcond=None)[0]
         if np.all(np.abs(dx) <= _STEP_ULPS * np.spacing(np.abs(x))):
             return _Solution(x, cost, nfev, True)
         x_new = x + dx
@@ -179,7 +179,7 @@ def fit_decay(record: ExperimentRecord, model: str = "exponential") -> DecayFit:
         """(u, v, c) of the fringe at (T, f), by weighted linear least squares on
         the basis [env cos(f t), -env sin(f t), 1]."""
         env = _envelope(model, t, T)
-        basis = np.column_stack([env * np.cos(f * t), -env * np.sin(f * t), np.ones_like(t)])
+        basis = np.stack([env * np.cos(f * t), -env * np.sin(f * t), np.ones_like(t)], axis=1)
         return np.linalg.lstsq(basis / sigma[:, None], y / sigma, rcond=None)[0]
 
     def fun(p):

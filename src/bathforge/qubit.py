@@ -10,10 +10,13 @@ from phase modulation of the local oscillator.  Every unitary is an SU(2)
 element held as a unit quaternion (w, x, y, z), U = w I - i (x sx + y sy + z sz).
 ``_unitary`` writes the exact Pauli exponential of each piecewise-constant
 sample and multiplies the steps pairwise down to one quaternion, which
-``propagate`` applies to a state.  A Ramsey shot forms no state: it is one
-product U = U_2 Rz(theta) U_1 with P1 = x^2 + y^2.  sigma_z terms at different
-times commute, so free evolution is the exact rotation Rz(theta) by
-theta = Delta tau - [phi_N(t_pulse + tau) - phi_N(t_pulse)].  A noise-free
+``propagate`` applies to a state.  It tables the steps a chunk at a time,
+each drive direction e^{i phi_C} from one tangent (``noise.phasors``), and
+runs the narrow levels of the pairwise tree for a batch of chunks at once, so
+its scratch memory does not grow with the step count.  A Ramsey shot forms no
+state: it is one product U = U_2 Rz(theta) U_1 with P1 = x^2 + y^2.  sigma_z
+terms at different times commute, so free evolution is the exact rotation
+Rz(theta) by theta = Delta tau - [phi_N(t_pulse + tau) - phi_N(t_pulse)].  A noise-free
 pulse has a constant Hamiltonian and is one exact rotation; with pulse noise
 each draw block samples both pulse windows in one comb call.  The 90 degree
 analysis pulse is Rz(pi/2) U_2 Rz(-pi/2) and P1 cannot see the final Rz, so
@@ -39,7 +42,8 @@ from .noise import (NoiseSpec, Quadrature, _require_nyquist, amplitude_waveform_
                     detuning_waveform_at, draw_phase_matrix, phase_waveform_at, phasors)
 
 _STEP_LIMIT = 0.05  # max rotation angle per piecewise-constant step, rad
-_CHUNK = 4096  # steps reduced to one unitary at a time, so scratch memory stays flat
+_CHUNK = 4096  # steps tabled at a time, so scratch memory is a few chunks at any step count
+_WIDTH = 256  # a full chunk is paired down alone to this width; its narrow levels are batched
 
 
 @dataclass(frozen=True)
@@ -73,11 +77,15 @@ class ExperimentRecord:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("mean", "stderr"):
+            if np.shape(getattr(self, name)) != np.shape(self.sweep):
+                raise ValidationError(f"{name}: shape {np.shape(getattr(self, name))} is not "
+                                      f"the sweep's {np.shape(self.sweep)}")
         # written so that NaN fails them
         if not np.all((self.mean >= -1e-9) & (self.mean <= 1 + 1e-9)):
             raise ValidationError("mean: populations must lie in [0, 1]")
-        if not np.all(self.stderr >= 0):
-            raise ValidationError("stderr: standard errors must be >= 0")
+        if not np.all((self.stderr >= 0) & (self.stderr < math.inf)):
+            raise ValidationError("stderr: standard errors must be finite and >= 0")
 
 
 def ket0() -> np.ndarray:
@@ -96,12 +104,12 @@ def propagate(state: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.n
     """
     _require_positive("dt", dt)
     # written so that NaN fails them
-    if not np.max(np.abs(samples.rabi), initial=0.0) * dt <= _STEP_LIMIT * (1 + 1e-9):
+    if not _peak(samples.rabi) * dt <= _STEP_LIMIT * (1 + 1e-9):
         raise ValidationError(f"rabi: Omega*dt must be finite and <= {_STEP_LIMIT} rad per step")
-    if not np.max(np.abs(samples.z_coeff), initial=0.0) * 2.0 * dt <= _STEP_LIMIT * (1 + 1e-9):
+    if not _peak(samples.z_coeff) * 2.0 * dt <= _STEP_LIMIT * (1 + 1e-9):
         raise ValidationError(
             f"z_coeff: |2 z_coeff|*dt must be finite and <= {_STEP_LIMIT} rad per step")
-    if not np.all(np.isfinite(samples.phase)):
+    if not math.isfinite(_peak(samples.phase)):
         raise ValidationError("phase: drive phases must be finite")
     w, x, y, z = _unitary(samples, dt)
     state = np.asarray(state, dtype=complex)
@@ -114,44 +122,90 @@ def _unitary(samples: HamiltonianSamples, dt: float) -> np.ndarray:
     """Product of the samples' step unitaries as a (4, ...) unit quaternion.
 
     Step k is exp(-i dt v_k.sigma/2) = w I - i (x sx + y sy + z sz) with
-    w = cos(|v_k| dt/2) and (x, y, z) = sin(|v_k| dt/2) v_k/|v_k|.  Each run of
-    ``_CHUNK`` steps is multiplied pairwise, later step on the left, down to
-    one quaternion, which is folded into a product that starts at the
-    identity.  The step is exact at any ``dt``; only :func:`propagate` needs
-    the per-step rotation limit.
+    w = cos(|v_k| dt/2) and (x, y, z) = sin(|v_k| dt/2) v_k/|v_k|.  The steps
+    are tabled ``_CHUNK`` at a time, the drive direction e^{i phi_C} from one
+    tangent per step (:func:`phasors`; a phase constant over the steps stays
+    one phasor), and each chunk is multiplied pairwise, later step on the left,
+    down to one quaternion, which is folded into a product that starts at the
+    identity.  A full chunk is paired down alone only to ``_WIDTH``
+    quaternions; the narrow levels of ``_CHUNK // _WIDTH`` full chunks then run
+    as one batch, so every pair, and every bit, is that of the chunk's own
+    tree.  The step is exact at any ``dt``; only :func:`propagate` needs the
+    per-step rotation limit.
     """
     z = np.atleast_1d(np.asarray(samples.z_coeff, dtype=float))
     om = np.atleast_1d(np.asarray(samples.rabi, dtype=float))
     ph = np.atleast_1d(np.asarray(samples.phase, dtype=float))
-    # per-step rotation vector, computed once for the whole call
-    vx, vy, vz = np.broadcast_arrays(om * np.cos(ph), om * np.sin(ph), 2.0 * z)
-    u = np.zeros((4,) + vx.shape[:-1])
-    u[0] = 1.0
-    for start in range(0, vx.shape[-1], _CHUNK):
-        block = slice(start, start + _CHUNK)
-        v = np.stack((vx[..., block], vy[..., block], vz[..., block]))
-        norm = np.sqrt(np.sum(v * v, axis=0))
+    shape = np.broadcast_shapes(z.shape, om.shape, ph.shape)
+    m = shape[-1]
+
+    def table(start: int, n: int) -> np.ndarray:
+        """(4, ..., n) quaternions of steps start .. start + n - 1."""
+        def cut(a):
+            return a[..., start:start + n] if a.shape[-1] > 1 else a
+        e = phasors(cut(ph))
+        r = cut(om)
+        vx, vy, vz = r * e.real, r * e.imag, 2.0 * cut(z)
+        norm = np.sqrt(vx * vx + vy * vy + vz * vz)
         half = 0.5 * norm * dt
+        q = np.empty((4,) + norm.shape)
+        np.cos(half, out=q[0])
         # sin(half)/norm, safe at norm == 0 where the step is the identity
-        s_over = np.where(norm > 0, np.sin(half) / np.where(norm > 0, norm, 1.0), 0.5 * dt)
-        q = np.concatenate((np.cos(half)[None], s_over * v))
-        while q.shape[-1] > 1:
-            even = q.shape[-1] // 2 * 2
-            q = np.concatenate((_compose(q[..., 1:even:2], q[..., 0:even:2]),
-                                q[..., even:]), axis=-1)
-        u = _compose(q[..., 0], u)
+        s_over = np.full(norm.shape, 0.5 * dt)
+        np.divide(np.sin(half), norm, out=s_over, where=norm > 0)
+        for k, v in enumerate((vx, vy, vz), 1):
+            np.multiply(s_over, v, out=q[k])
+        return q
+
+    lead = shape[:-1]
+    u = np.zeros((4,) + lead)
+    u[0] = 1.0
+    full = m - m % _CHUNK
+    batch = _CHUNK // _WIDTH * _CHUNK  # steps whose narrow levels run together
+    for start in range(0, full, batch):
+        firsts = range(start, min(start + batch, full), _CHUNK)
+        held = np.empty((4,) + lead + (len(firsts), _WIDTH))
+        for i, first in enumerate(firsts):
+            held[..., i, :] = _pair_down(table(first, _CHUNK), _WIDTH)
+        held = _pair_down(held, 1)[..., 0]
+        for i in range(len(firsts)):
+            u = _compose(held[..., i], u)
+    if full < m:
+        u = _compose(_pair_down(table(full, m - full), 1)[..., 0], u)
     return u
 
 
-def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+def _pair_down(q: np.ndarray, width: int) -> np.ndarray:
+    """Multiply neighbouring quaternions along the last axis, later on the left,
+    level by level until at most ``width`` remain; an odd last one moves up a
+    level unmultiplied."""
+    while q.shape[-1] > width:
+        n = q.shape[-1]
+        out = np.empty(q.shape[:-1] + ((n + 1) // 2,))
+        _compose(q[..., 1::2], q[..., 0:n - 1:2], out[..., :n // 2])
+        if n % 2:
+            out[..., -1] = q[..., -1]
+        q = out
+    return q
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unit-quaternion product ``later * earlier`` of (4, ...) arrays: the
-    unitary of ``earlier`` followed by ``later``."""
+    unitary of ``earlier`` followed by ``later``, written into ``out`` if given."""
     w2, x2, y2, z2 = later
     w1, x1, y1, z1 = earlier
-    return np.stack((w2 * w1 - (x2 * x1 + y2 * y1 + z2 * z1),
-                     w2 * x1 + w1 * x2 + (y2 * z1 - z2 * y1),
-                     w2 * y1 + w1 * y2 + (z2 * x1 - x2 * z1),
-                     w2 * z1 + w1 * z2 + (x2 * y1 - y2 * x1)))
+    if out is None:
+        out = np.empty((4,) + np.broadcast_shapes(later.shape[1:], earlier.shape[1:]))
+    np.subtract(w2 * w1, x2 * x1 + y2 * y1 + z2 * z1, out=out[0, ...])
+    np.add(w2 * x1 + w1 * x2, y2 * z1 - z2 * y1, out=out[1, ...])
+    np.add(w2 * y1 + w1 * y2, z2 * x1 - x2 * z1, out=out[2, ...])
+    np.add(w2 * z1 + w1 * z2, x2 * y1 - y2 * x1, out=out[3, ...])
+    return out
+
+
+def _peak(a) -> float:
+    """max |a|, 0 for no entries and NaN if any entry is NaN, with no |a| table."""
+    return float(np.maximum(np.max(a, initial=0.0), -np.min(a, initial=0.0)))
 
 
 def _require_positive(name: str, value: float) -> None:

@@ -6,7 +6,9 @@ import importlib
 import importlib.util
 import math
 import re
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,3 +100,37 @@ def test_traced_zero_alpha_ramsey_counts_one_trajectory():
         n_realizations=500)))
     assert got["noise.draw.rows"] == 1
     assert got["qubit.steps"] == 3 * len(taus) * records[0].meta["pulse_steps"]
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench's run, spans and workloads, imported as run.py imports them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    names = ("run", "spans", "workloads", "checks")
+    saved = {name: sys.modules.pop(name) for name in names if name in sys.modules}
+    try:
+        yield SimpleNamespace(**{name: importlib.import_module(name) for name in names})
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
+@pytest.mark.parametrize("name", ["ramsey_t2", "rabi_stepping", "cli_synth_export"])
+def test_traced_pass_matches_plain(bench, name, tmp_path):
+    # a traced benchmark run fails unless a traced pass gives the plain pass's
+    # digest and work counts, and the draw rows and steps seen at the layer
+    # boundaries equal those derived from the outputs
+    wl = bench.workloads.WORKLOADS[name](1, "tiny", tmp_path)
+    wl.build()
+    for modname in {t[0] for t in bench.spans.TARGETS}:
+        importlib.import_module(modname)
+    ops = bench.workloads.Ops()
+    plain = bench.run.timed_pass(wl, ops)
+    traced = bench.run.timed_pass(wl, ops, bench.spans.Tracer())
+    assert ops.failed == 0, ops.log
+    assert traced["digest"] == plain["digest"]
+    assert traced["work"] == plain["work"]
+    ok, detail = bench.run._counts_match(
+        bench.spans.layer_metrics(traced["tracer"], traced["wall"]), plain["work"])
+    assert ok, detail

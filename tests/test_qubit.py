@@ -163,30 +163,63 @@ class TestTreeProduct:
         assert np.max(np.abs(tree - loop_propagate(state, samples, 0.01))) <= 1e-12
         assert abs(np.linalg.norm(tree) - 1.0) <= 1e-14
 
+    def test_batched_levels_keep_each_chunks_bits(self, monkeypatch):
+        # the narrow levels of many full chunks run as one batch; every pair is
+        # the one the chunk's own tree takes, so the product keeps its bits
+        m = (self.CHUNK // qubit._WIDTH + 1) * self.CHUNK + 5  # two batches
+        samples = random_samples(np.random.default_rng(10), (2, m), 0.01)
+        batched = qubit._unitary(samples, 0.01)
+        monkeypatch.setattr(qubit, "_WIDTH", self.CHUNK)  # each chunk's tree alone
+        assert qubit._unitary(samples, 0.01).tobytes() == batched.tobytes()
+
     def test_pair_products_per_chunk(self, monkeypatch):
-        # a tree takes about log2(_CHUNK) vectorised products per chunk; a
-        # per-step loop would take one per step
+        # a full chunk is paired down alone to _WIDTH, the narrow levels of up
+        # to _CHUNK // _WIDTH full chunks run as one batch, and the last,
+        # partial chunk is paired down alone: a few vectorised products per
+        # chunk, where a per-step loop would take one per step
         shapes = []
         real = qubit._compose
 
-        def counting(later, earlier):
+        def counting(later, earlier, out=None):
             shapes.append(later.shape)
-            return real(later, earlier)
+            return real(later, earlier, out)
 
         monkeypatch.setattr(qubit, "_compose", counting)
-        m = 10_000
+        width = qubit._WIDTH
+        full, tail = self.CHUNK // width + 1, 5  # two batches, the second of one chunk
+        m = full * self.CHUNK + tail
         propagate(ket0(), random_samples(np.random.default_rng(9), m, 0.01), 0.01)
-        chunks = math.ceil(m / self.CHUNK)
-        # tree products carry a step axis; the fold of each chunk's quaternion
+        chunks = full + 1
+        # tree products carry step axes; the fold of each chunk's quaternion
         # into the running product does not
-        sizes = [shape[-1] for shape in shapes if len(shape) == 2]
-        assert len(shapes) - len(sizes) == chunks
-        assert len(sizes) <= chunks * math.ceil(math.log2(self.CHUNK))
-        # every product merges one pair, down to one quaternion per chunk
-        assert sum(sizes) == m - chunks
+        merges = [math.prod(shape[1:]) for shape in shapes if len(shape) > 1]
+        assert len(shapes) - len(merges) == chunks
+        assert len(merges) == (full * round(math.log2(self.CHUNK // width))
+                               + 2 * round(math.log2(width)) + math.ceil(math.log2(tail)))
+        assert len(shapes) <= chunks * (math.ceil(math.log2(self.CHUNK)) + 1)
+        # every product merges pairs of neighbours, down to one quaternion per
+        # chunk: with the folds, m - 1 merges beyond the identity
+        assert sum(merges) == m - chunks
 
 
 class TestPropagate:
+    def test_scratch_flat_in_step_count(self):
+        # steps are tabled a chunk at a time and full chunks wait at _WIDTH
+        # quaternions, so the scratch beyond the samples is a few (4, _CHUNK)
+        # step tables at any step count
+        bound = 6 * 4 * 8 * qubit._CHUNK
+        peaks = []
+        for m in (200_000, 1_000_000):
+            samples = random_samples(np.random.default_rng(m), m, 0.01)
+            tracemalloc.start()
+            try:
+                propagate(ket0(), samples, 0.01)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < bound
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
     def test_zero_hamiltonian_identity(self):
         state = np.array([0.6, 0.8j])
         out = propagate(state, HamiltonianSamples(
@@ -487,14 +520,15 @@ class TestAnalysisPhase:
 def count_phasors(monkeypatch, passthrough=False):
     """Shapes of the blocks ``qubit`` turns into phasors, recorded per call.
 
-    With ``passthrough`` the real phases go to the evaluators unconverted.
+    With ``passthrough`` the real phases of the (rows, J) draw blocks go to the
+    evaluators unconverted; a pulse's drive phase is converted either way.
     """
     shapes = []
     real = qubit.phasors
 
     def counting(psi):
         shapes.append(np.shape(psi))
-        return psi if passthrough else real(psi)
+        return psi if passthrough and np.ndim(psi) == 2 else real(psi)
 
     monkeypatch.setattr(qubit, "phasors", counting)
     return shapes
@@ -503,13 +537,16 @@ def count_phasors(monkeypatch, passthrough=False):
 class TestPhasorReuse:
     RAMSEY = dict(fringe_detuning=TWO_PI * 500.0, pulse_rabi=TWO_PI * 1e4,
                   taus=[1e-3, 2e-3, 3e-3], n_realizations=4)
+    # each noisy pulse takes the one phasor of its constant drive phase
+    PULSES = [(1,), (1,)]
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_ramsey_once_per_draw_block(self, monkeypatch, frozen):
         # alpha = 0 simulates one trajectory, from one draw row
         shapes = count_phasors(monkeypatch)
         ramsey(deph_spec(0.0 if frozen else 1.5, teeth=20, seed=7), **self.RAMSEY)
-        assert shapes == ([(1, 20)] if frozen else [(4, 20)] * 3)
+        assert shapes == ([(1, 20)] + self.PULSES * 3 if frozen
+                          else ([(4, 20)] + self.PULSES) * 3)
 
     def test_rabi_once(self, monkeypatch):
         shapes = count_phasors(monkeypatch)
@@ -522,7 +559,7 @@ class TestPhasorReuse:
         ramsey(deph_spec(0.0, teeth=20), **self.RAMSEY)
         rabi(amp_spec(0.0), drive_rabi=TWO_PI * 100.0, durations=[0.0, 1e-3, 2e-3],
              n_realizations=3)
-        assert shapes == [(1, 20), (1, 20)]
+        assert shapes == [(1, 20)] + self.PULSES * 3 + [(1, 20)]
 
     def test_ramsey_bits_match_per_call_trig(self, monkeypatch):
         spec = deph_spec(1.5, teeth=20, seed=7)
@@ -781,10 +818,15 @@ class TestRecordChecks:
                                               ("mean", [0.5, 1.5]),
                                               ("mean", [-0.1, 0.5]),
                                               ("stderr", [0.1, math.nan]),
-                                              ("stderr", [0.1, -1e-3])])
+                                              ("stderr", [0.1, -1e-3]),
+                                              ("stderr", [0.01, math.inf]),
+                                              ("mean", [0.5, 0.5, 0.5]),
+                                              ("mean", [[0.5, 0.5]]),
+                                              ("stderr", [0.01])])
     def test_bad_values_rejected(self, name, values):
         # NaN fails no `<` or `>` comparison, so each check is written as the
-        # range the values must lie in
+        # range the values must lie in; means and errors sit one per sweep
+        # point, so a mismatch fails here and not in a later fit
         fields = {"mean": np.full(2, 0.5), "stderr": np.full(2, 0.01)}
         fields[name] = np.array(values)
         with pytest.raises(ValidationError, match=name):
