@@ -7,7 +7,7 @@ amplitude-noise Hamiltonians, and verify everything against analytic
 filter-function predictions and spectral oracles.
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .errors import (AmplitudeRangeWarning, BathforgeError, ConfigError, FitError,
                      NyquistError, ValidationError)

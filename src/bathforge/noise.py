@@ -35,20 +35,16 @@ step in turns ``omega0*dt/(2*pi) = x/y``, an exact ratio of ints (2*pi to 40
 digits); beta and phi_N of a dephasing spec are two rows of one result either way.
 
 * Commensurate grid, ``N = round(y/x)`` samples per base period
-  ``T0 = 2*pi/omega0`` with ``2J + 1 <= N <= 4n``: every tooth is
-  ``e^{2 pi i j k/N}`` up to a drift, so one period is one inverse real FFT of
-  length N with ``X_j = (N/2) b_j z_j`` for ``1 <= j <= J``, wrapped to n
-  samples (random-phase spectral synthesis, Timmer & Koenig 1995, with the
-  comb's phases).  A float dt is never exactly T0/N: with the step
-  ``omega0*dt = 2*pi/N + s``, tooth j at sample k lags the wrapped period by
-  ``j*k*s``, at most the drift ``J*(n - 1)*|s|``, which is computed exactly in
-  rationals.  Up to ``_MAX_DRIFT`` rad the record is the wrapped period and
-  repeats bit for bit from period to period; up to ``_MAX_CORRECTED_DRIFT`` it
-  gains the first-order term ``s*k*D_k``, D the inverse FFT of ``i*j*X_j``.
-  A grid from :meth:`TimeGrid.periods_of`, or at a rate that is a whole
-  multiple of f0, is off by a few float roundings, a drift near
-  ``1e-16 * 2*pi*J*n/N``, so any such record under 10**9 samples takes this
-  path when ``2J + 1 <= N <= 4n``.  The upper bound keeps the transform's
+  ``T0 = 2*pi/omega0`` with ``2J + 1 <= N <= 4n`` and a step that is T0/N up
+  to rounding, ``|x*N - y| <= c*y`` with ``c = 2**-50`` (twice the four float
+  roundings of a grid from :meth:`TimeGrid.periods_of` or at a rate that is a
+  whole multiple of f0): the record is the exact period at ``t_k = k*T0/N``,
+  as a generator plays it when it loops N samples, one inverse real FFT of
+  length N with ``X_j = (N/2) b_j z_j`` for ``1 <= j <= J`` wrapped to n
+  samples (Timmer & Koenig 1995, with the comb's phases), so it repeats bit
+  for bit.  With ``omega0*dt = 2*pi/N + s`` it lies at most
+  ``J*(n - 1)*|s|*sum_j |b_j|`` from sampling at the float times ``k*dt``,
+  where ``|s| <= 2*pi*c/N``.  The upper bound on N keeps the transform's
   arrays within a few records' memory.
 * Any other grid, by block shift in :func:`realize`: sample ``q*B + r`` is
   ``e^{i j omega0 q B dt} e^{i j omega0 r dt}``, with ``B = max(min(256, n),
@@ -95,12 +91,10 @@ _TIME_BLOCK = 256
 # 2*pi * 10**39 to the nearest integer (2*pi to 40 digits): a grid's step in turns,
 # omega0*dt/(2*pi), is taken against it as an exact ratio of ints
 _TWO_PI_E39 = 6283185307179586476925286766559005768394
-# Both drift bounds (rad) keep an FFT record within half of the 1e-12 * sum_j |b_j|
-# realize is held to, and leave the other half to the transforms' rounding.  A
-# wrapped period errs by at most its drift times sum_j |b_j|; with the first-order
-# term the remainder is at most drift**2 / 2 times sum_j |b_j|.
-_MAX_DRIFT = 5e-13
-_MAX_CORRECTED_DRIFT = 1e-6
+# a commensurate step may miss T0/N by c = 2**-_STEP_ROUNDING_BITS relative: dt from
+# periods_of (2*pi, /omega0, k*T0, /n) or at a rate N*f0 (2*pi, 2*pi*f0, f0 or N*f0
+# as a float, 1/rate) is four roundings of 2**-53 off T0/N, and c is twice that
+_STEP_ROUNDING_BITS = 50
 
 
 class Quadrature(enum.Enum):
@@ -397,30 +391,24 @@ def _turns_per_sample(spec: NoiseSpec, grid: TimeGrid) -> tuple:
     return a * c * 10**39, _TWO_PI_E39 * b * d
 
 
-def _fft_period(spec: NoiseSpec, grid: TimeGrid) -> tuple:
-    """``(N, s)`` when ``realize`` samples ``grid`` by one inverse FFT of N samples
-    per base period, with ``s`` the step's drift per sample to correct to first
-    order, or 0.0 when the period is used as it is; ``(0, 0.0)`` when it samples
-    the grid by block shift (see the module docstring)."""
+def _fft_period(spec: NoiseSpec, grid: TimeGrid) -> int:
+    """N when ``realize`` samples ``grid`` as its exact period, one inverse FFT of
+    N samples per base period; 0 when it samples the grid by block shift (see the
+    module docstring)."""
     x, y = _turns_per_sample(spec, grid)
     per = (2 * y + x) // (2 * x)  # round(y/x), in ints
-    if not 2 * spec.teeth + 1 <= per <= 4 * grid.n:
-        return 0, 0.0
-    # omega0*dt - 2*pi/N = 2*pi (x/y - 1/N) over one int denominator: rounded once
-    slope = _TWO_PI_E39 * (x * per - y) / (10**39 * y * per)
-    drift = spec.teeth * (grid.n - 1) * abs(slope)
-    if drift > _MAX_CORRECTED_DRIFT:
-        return 0, 0.0
-    return per, (slope if drift > _MAX_DRIFT else 0.0)
+    if 2 * spec.teeth + 1 <= per <= 4 * grid.n and abs(x * per - y) <= y >> _STEP_ROUNDING_BITS:
+        return per
+    return 0
 
 
 def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRealization:
     """Draw phases for one ensemble member and sample its waveforms on the grid.
 
-    A commensurate grid is one inverse real FFT per base period, wrapped to the
-    record; any other grid is one comb call by block shift, whose start phases
-    are exact turns.  Either way beta and phi_N of a dephasing spec come
-    together (see the module docstring).
+    A grid whose step is T0/N up to rounding is sampled as its exact period, one
+    inverse real FFT wrapped to the record; any other grid is one comb call by
+    block shift, whose start phases are exact turns.  Either way beta and phi_N
+    of a dephasing spec come together (see the module docstring).
     """
     _require_nyquist(spec, grid.dt)
     z = phasors(draw_phases(spec, realization_index))
@@ -428,16 +416,11 @@ def realize(spec: NoiseSpec, grid: TimeGrid, realization_index: int) -> NoiseRea
         amps = np.stack([spec.tooth_amplitudes(), _phase_amplitudes(spec)])
     else:
         amps = _drive_amplitudes(spec)
-    per, slope = _fft_period(spec, grid)
+    per = _fft_period(spec, grid)
     if per:
         spectrum = np.zeros(amps.shape[:-1] + (per // 2 + 1,), dtype=complex)
         np.multiply(amps * (per / 2), z, out=spectrum[..., 1:spec.teeth + 1])
-        if slope:
-            spectrum = np.stack([spectrum, spectrum * (1j * np.arange(per // 2 + 1))])
-        k = np.arange(grid.n)
-        waves = np.take(np.fft.irfft(spectrum, n=per), k, axis=-1, mode="wrap")
-        if slope:
-            waves = waves[0] + (slope * k) * waves[1]
+        waves = np.take(np.fft.irfft(spectrum, n=per), np.arange(grid.n), axis=-1, mode="wrap")
     else:
         block = max(min(_TIME_BLOCK, grid.n), -(-grid.n // _TIME_BLOCK))
         x, y = _turns_per_sample(spec, grid)

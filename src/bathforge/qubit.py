@@ -100,7 +100,8 @@ def propagate(state: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.n
     once, so norm is preserved to rounding regardless of step count.  Steps
     must satisfy Omega*dt <= 0.05 and |2 z_coeff|*dt <= 0.05 so that sampling
     the time-dependent coefficients once per step is accurate, and every
-    coefficient, the phases included, must be finite.
+    coefficient, the phases included, must be finite.  ``state`` is (..., 2),
+    its leading axes broadcasting against the samples'.
     """
     _require_positive("dt", dt)
     # written so that NaN fails them
@@ -111,8 +112,20 @@ def propagate(state: np.ndarray, samples: HamiltonianSamples, dt: float) -> np.n
             f"z_coeff: |2 z_coeff|*dt must be finite and <= {_STEP_LIMIT} rad per step")
     if not math.isfinite(_peak(samples.phase)):
         raise ValidationError("phase: drive phases must be finite")
-    w, x, y, z = _unitary(samples, dt)
     state = np.asarray(state, dtype=complex)
+    if state.shape[-1:] != (2,):
+        raise ValidationError(f"state: last axis must hold 2 amplitudes, got shape {state.shape}")
+    shapes = [np.shape(f) or (1,) for f in (samples.z_coeff, samples.rabi, samples.phase)]
+    try:
+        lead = np.broadcast_shapes(*shapes)[:-1]
+    except ValueError:
+        raise ValidationError(f"z_coeff, rabi, phase: shapes {shapes} do not broadcast") from None
+    try:
+        np.broadcast_shapes(state.shape[:-1], lead)
+    except ValueError:
+        raise ValidationError(f"state: batch shape {state.shape[:-1]} does not broadcast "
+                              f"against the samples' leading axes {lead}") from None
+    w, x, y, z = _unitary(samples, dt)
     a, b = state[..., 0], state[..., 1]
     return np.stack(((w - 1j * z) * a - (y + 1j * x) * b,
                      (y - 1j * x) * a + (w + 1j * z) * b), axis=-1)

@@ -41,6 +41,12 @@ CASES = {
                    "--points", "12", "--out", "scan"],
     "synth_envelope": ["synth", "--envelope", "1,0.5,0.25", "--teeth", "3",
                        "--realizations", "1", "--periods", "1", "--out", "env"],
+    # f0 = 2.5 Hz, J = 150, 3 periods of 301 samples: the float step misses
+    # T0/301 by a few roundings, which over the record drifts the top tooth by
+    # J*(n - 1)*|s| = 5.1e-13 rad; the record is the exact period, repeated
+    "synth_rounded_step": ["synth", "--omega0-hz", "2.5", "--teeth", "150", "--periods", "3",
+                           "--samples-per-period", "301", "--realizations", "1",
+                           "--out", "step"],
 }
 
 DIGESTS = {
@@ -74,6 +80,10 @@ DIGESTS = {
     "synth_envelope": {
         "env.manifest": "52aaa92eab26fde8d26594cf11d93fec5e8c245619fbecc77f3cbfd0122b40c3",
         "env_0000.csv": "ce64efe607b063e1bea12a6f9e38a9e9d3f2959c786b8b84393824710200fa94",
+    },
+    "synth_rounded_step": {
+        "step.manifest": "916866b34c130e342332ff25da34996bf597d6294dd54be30034035ffa2a3ea0",
+        "step_0000.csv": "69e9eb4fad2f87851bb11e8ce8a38dc517ea3f4915ec3a4b1ac51b56348d8121",
     },
     "verify-psd": {
         "psd.csv": "a84f8801078bd4630c868d2aa0cc8b6572e8fbdf39f4cc762c8fe9ddaa1e40f9",

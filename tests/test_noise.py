@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bathforge import (AmplitudeRangeWarning, NoiseSpec, NyquistError, Quadrature,
@@ -592,22 +593,29 @@ class TestEvaluatorMemory:
 
 
 class TestRealizeAgainstLongDouble:
-    """``realize`` against the long-double direct sum at the grid's exact times.
+    """``realize`` against a long-double direct sum, at ``t_k = k*T0/N`` on a grid
+    sampled as its exact period and at the grid's float times ``k*dt`` on any
+    other.
 
     n crosses the time block of the shifted evaluation and reaches the CLI's
-    record lengths.  Three spacings are commensurate and sampled by inverse FFT:
-    the CLI's record spacing (whole base periods at 4J + 1 samples per period),
-    its export spacing 1/rate, with the rate at 20 times the top tooth, and
-    that rate's spacing 1e-10 longer, which drifts far enough to take the
-    first-order term.  Two are not and keep the block shift: a rate of
-    60,001 Hz, and sqrt(2)/1000 of a base period.
+    record lengths.  Two spacings are T0/N up to rounding and sampled by inverse
+    FFT: the CLI's record spacing (whole base periods at 4J + 1 samples per
+    period) and its export spacing 1/rate, with the rate at 20 times the top
+    tooth.  Three are not and take the block shift: that rate's spacing 1e-10
+    longer, a rate of 60,001 Hz, and sqrt(2)/1000 of a base period.
     """
 
     F0 = 30.0
     OMEGA0 = TWO_PI * F0
 
     def check(self, grid, teeth):
-        times = np.longdouble(grid.dt) * np.arange(grid.n)
+        per = noise._fft_period(white_dephasing(omega0=self.OMEGA0, teeth=teeth), grid)
+        if per:
+            # the exact period: phase j*omega0*t_k = j * 2*pi * (k mod N)/N
+            omega0 = 8 * np.arctan(np.longdouble(1))
+            times = (np.arange(grid.n) % per).astype(np.longdouble) / per
+        else:
+            omega0, times = self.OMEGA0, np.longdouble(grid.dt) * np.arange(grid.n)
         deph = NoiseSpec(quadrature=Quadrature.DEPHASING, alpha=1.3, omega0=self.OMEGA0,
                          teeth=teeth, p=-1.0, seed=grid.n)
         amp = NoiseSpec(quadrature=Quadrature.AMPLITUDE, alpha=0.5 / teeth,
@@ -618,26 +626,22 @@ class TestRealizeAgainstLongDouble:
                  (real_d.phi_n, deph, deph.alpha * deph.envelope_table(), np.sin),
                  (real_a.beta, amp, amp.tooth_amplitudes(), np.cos))
         for out, spec, amps, trig in cases:
-            ref = _longdouble_comb(self.OMEGA0, amps, draw_phases(spec, 5), times, trig)
+            ref = _longdouble_comb(omega0, amps, draw_phases(spec, 5), times, trig)
             assert out.shape == (grid.n,)
             assert float(np.max(np.abs(out - ref))) <= 1e-12 * float(np.sum(np.abs(amps)))
 
     def grid(self, kind, per, n, teeth):
-        """n samples, ``per`` to a base period ("periods", "rate", "near"), or at a
-        spacing near that which no whole number of samples per period fits
-        ("rate_off", "irrational"); checked to take the path its kind and length
-        call for."""
+        """n samples, ``per`` to a base period ("periods", "rate"), or at a spacing
+        near that which no whole number of samples per period fits up to rounding
+        ("near", "rate_off", "irrational"); checked to take the path its kind and
+        length call for."""
         dt = {"periods": TimeGrid.periods_of(self.OMEGA0, 1, per).dt,
               "rate": 1.0 / (per * self.F0), "near": (1.0 + 1e-10) / (per * self.F0),
               "rate_off": 1.0 / (per * self.F0 + 1.0),
               "irrational": 1.0 / (per * self.F0 * math.sqrt(2.0))}[kind]
         grid = TimeGrid(dt, n)
-        fft, slope = noise._fft_period(white_dephasing(omega0=self.OMEGA0, teeth=teeth), grid)
-        # one sample, at t = 0, has no drift on any spacing, so takes either path
-        if n > 1:
-            commensurate = kind in ("periods", "rate", "near")
-            assert fft == (per if commensurate and per <= 4 * n else 0)
-            assert slope != 0.0 or not (fft and kind == "near")
+        fft = noise._fft_period(white_dephasing(omega0=self.OMEGA0, teeth=teeth), grid)
+        assert fft == (per if kind in ("periods", "rate") and per <= 4 * n else 0)
         return grid
 
     @pytest.mark.parametrize("spacing", ["periods", "rate", "near", "rate_off", "irrational"])
@@ -648,6 +652,30 @@ class TestRealizeAgainstLongDouble:
         # ("rate_off")
         per = {"periods": 4 * teeth + 1, "irrational": 500}.get(spacing, 2000)
         self.check(self.grid(spacing, per, n, teeth), teeth)
+
+    @pytest.mark.parametrize("kind", ["periods", "rate"])
+    def test_step_rounding_bound_splits_the_paths(self, kind):
+        # the floats next to T0/N: the last step within c = 2**-50 of it, relative,
+        # is sampled as the exact period and the first beyond by block shift, each
+        # held to its own reference; c is taken here in rationals, with 2*pi to 50
+        # digits
+        teeth, per = 100, 2000
+        two_pi = Fraction("6.2831853071795864769252867665590057683943387987502")
+        c = Fraction(1, 2**50)
+        dt = self.grid(kind, per, 1, teeth).dt
+
+        def rel(dt):
+            return abs(Fraction(self.OMEGA0) * Fraction(dt) * per / two_pi - 1)
+
+        assert rel(dt) <= c
+        while rel(np.nextafter(dt, 1.0)) <= c:
+            dt = np.nextafter(dt, 1.0)
+        spec = white_dephasing(omega0=self.OMEGA0, teeth=teeth)
+        inside, outside = TimeGrid(dt, 2 * per), TimeGrid(np.nextafter(dt, 1.0), 2 * per)
+        assert noise._fft_period(spec, inside) == per
+        assert noise._fft_period(spec, outside) == 0
+        self.check(inside, teeth)
+        self.check(outside, teeth)
 
     def test_offsets_past_one_table(self):
         # past _TIME_BLOCK**2 samples a block holds more than _TIME_BLOCK offsets:
@@ -661,7 +689,7 @@ class TestRealizeAgainstLongDouble:
         # must be exact turns, or tooth j's phase errs by j ulp(omega0 t)
         spec = white_dephasing(omega0=TWO_PI * 4.0, teeth=750, seed=2)
         grid = TimeGrid(1.0 / 60_001.0, 500_000)
-        assert noise._fft_period(spec, grid) == (0, 0.0)
+        assert noise._fft_period(spec, grid) == 0
         real = realize(spec, grid, 0)
         tail = np.arange(grid.n - 800, grid.n)
         times = np.longdouble(grid.dt) * tail
@@ -724,7 +752,7 @@ def test_commensurate_grid_transforms_phases_only(monkeypatch, command):
     # one inverse FFT per period: the J phases are the only transform, no comb call
     spec = white_dephasing(omega0=TWO_PI * 4.0, teeth=750, seed=3)
     grid = CLI_GRIDS[command]
-    assert noise._fft_period(spec, grid)[0] == {"export": 15_000}.get(command, 3001)
+    assert noise._fft_period(spec, grid) == {"export": 15_000}.get(command, 3001)
     transformed, comb_calls = _count_transforms(monkeypatch)
     real = realize(spec, grid, 0)
     assert transformed == [750] and comb_calls == []
@@ -735,7 +763,9 @@ def test_commensurate_grid_transforms_phases_only(monkeypatch, command):
 def test_cli_grids_take_fft_at_every_f0():
     # synth, verify-psd and export grids at J = 750 for f0 from 1 to 100 Hz in
     # 0.1 Hz steps, the export rate a whole multiple (15,000) of f0: a float
-    # step is a few roundings off 2*pi/N, well inside the corrected drift bound
+    # step is a few roundings off T0/N, inside c, so every record is its exact
+    # period and repeats bit for bit; the export step is checked over two of its
+    # periods, as its 6000 samples do not fill one
     spec = white_dephasing(teeth=750)
     for f0 in np.arange(10, 1001) / 10:
         omega0 = TWO_PI * f0
@@ -743,7 +773,12 @@ def test_cli_grids_take_fft_at_every_f0():
         for grid, per in ((TimeGrid.periods_of(omega0, 1, 3001), 3001),
                           (TimeGrid.periods_of(omega0, 4, 3001), 3001),
                           (TimeGrid(1.0 / (15_000 * f0), 6000), 15_000)):
-            assert noise._fft_period(spec, grid)[0] == per, (f0, grid)
+            assert noise._fft_period(spec, grid) == per, (f0, grid)
+            grid = TimeGrid(grid.dt, max(grid.n, 2 * per))
+            real = realize(spec, grid, 0)
+            for wave in (real.beta, real.phi_n):
+                rows = bits(wave).reshape(-1, per)
+                assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape)), (f0, grid)
 
 
 def test_short_record_of_a_long_period_keeps_block_shift():
@@ -752,7 +787,7 @@ def test_short_record_of_a_long_period_keeps_block_shift():
     # 23 MB at its peak, where the block shift's peak is about 7 MB
     spec = white_dephasing(omega0=TWO_PI, teeth=750, seed=2)
     grid = TimeGrid(1.0 / 700_000, 20_000)
-    assert noise._fft_period(spec, grid) == (0, 0.0)
+    assert noise._fft_period(spec, grid) == 0
     tracemalloc.start()
     try:
         real = realize(spec, grid, 0)
@@ -768,7 +803,7 @@ def test_period_past_float_range_keeps_block_shift():
     # and is taken in ints
     spec = white_dephasing(omega0=6e-160, teeth=3)
     grid = TimeGrid(1e-160, 8)
-    assert noise._fft_period(spec, grid) == (0, 0.0)
+    assert noise._fft_period(spec, grid) == 0
     assert realize(spec, grid, 0).beta.shape == (8,)
 
 
@@ -779,10 +814,7 @@ def test_commensurate_record_repeats_bit_exactly(per, teeth, periods, seed):
     teeth = min(teeth, (per - 1) // 2)
     spec = white_dephasing(omega0=TWO_PI * 30.0, teeth=teeth, seed=seed)
     grid = TimeGrid.periods_of(spec.omega0, periods, per)
-    fft, slope = noise._fft_period(spec, grid)
-    assert fft == per
-    # a record whose drift is within _MAX_DRIFT is the period as it is
-    assume(slope == 0.0)
+    assert noise._fft_period(spec, grid) == per
     real = realize(spec, grid, 7)
     for wave in (real.beta, real.phi_n):
         rows = bits(wave).reshape(periods, per)

@@ -288,6 +288,29 @@ class TestPropagate:
         with pytest.raises(ValidationError, match="dt"):
             propagate(ket0(), samples, dt=dt)
 
+    @pytest.mark.parametrize("state", [np.array([1.0, 0.0, 0.0]), np.ones((2, 3)),
+                                       np.array(1.0), np.zeros((2, 0))])
+    def test_state_without_two_amplitudes_rejected(self, state):
+        samples = HamiltonianSamples(z_coeff=np.zeros(5), rabi=np.ones(5), phase=0.0)
+        with pytest.raises(ValidationError, match="^state"):
+            propagate(state, samples, dt=0.01)
+
+    @pytest.mark.parametrize("fields, state, names", [
+        ({"z_coeff": np.zeros(5), "rabi": np.ones(6)}, ket0(), "^z_coeff, rabi, phase"),
+        ({"phase": np.zeros((3, 4))}, ket0(), "^z_coeff, rabi, phase"),
+        ({"rabi": np.ones((3, 5))}, ket0_rows(4), "^state"),
+        ({}, ket0_rows(4)[:, None, :] * np.ones((1, 2, 1)), None)])
+    def test_mismatched_shapes_rejected(self, fields, state, names):
+        # one step count across the fields, and a state batch that broadcasts
+        # against their leading axes; the last case broadcasts and runs
+        samples = HamiltonianSamples(**{"z_coeff": np.zeros(5), "rabi": np.ones(5),
+                                        "phase": 0.0, **fields})
+        if names is None:
+            assert propagate(state, samples, dt=0.01).shape == (4, 2, 2)
+            return
+        with pytest.raises(ValidationError, match=names):
+            propagate(state, samples, dt=0.01)
+
     def test_batch_states(self):
         m = 40
         omega = 0.05 / 0.01
